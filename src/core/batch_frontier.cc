@@ -79,27 +79,29 @@ void BatchFrontier::Refill() {
   if (journal_ != nullptr) {
     journal_->BatchRound(pending_before, selected.size());
   }
-  std::vector<ScoreComponent> components;
   uint32_t rank = 0;
   for (const Candidate& candidate : selected) {
-    if (journal_ != nullptr) {
-      components.clear();
-      scorer_->ScoreComponents(candidate.url,
-                               pending_.at(candidate.url).inputs, &components);
-      journal_->BatchSelect(candidate.url, rank, candidate.score,
-                            candidate.seq,
-                            static_cast<uint32_t>(components.size()));
-      for (uint32_t i = 0; i < components.size(); ++i) {
-        journal_->ScoreComponent(candidate.url, i, components[i].name,
-                                 components[i].weighted, components[i].raw);
-      }
-    }
+    if (journal_ != nullptr) JournalSelect(journal_, candidate, rank);
     ++rank;
     pending_.erase(candidate.url);
     batch_.push_back(candidate.url);
     in_batch_.insert(candidate.url);
   }
   if (selected_urls_ != nullptr) selected_urls_->Add(selected.size());
+}
+
+void BatchFrontier::JournalSelect(obs::JournalWriter* journal,
+                                  const Candidate& candidate,
+                                  uint32_t rank) const {
+  std::vector<ScoreComponent> components;
+  scorer_->ScoreComponents(candidate.url, pending_.at(candidate.url).inputs,
+                           &components);
+  journal->BatchSelect(candidate.url, rank, candidate.score, candidate.seq,
+                       static_cast<uint32_t>(components.size()));
+  for (uint32_t i = 0; i < components.size(); ++i) {
+    journal->ScoreComponent(candidate.url, i, components[i].name,
+                            components[i].weighted, components[i].raw);
+  }
 }
 
 void BatchFrontier::AttachObs(obs::MetricsRegistry* registry,

@@ -113,17 +113,11 @@ class BatchFrontier final : public Frontier {
   /// Removes a pending URL chosen by the cross-shard merge.
   void Remove(PageId url) { pending_.erase(url); }
 
-  /// Copies the pending entry for `url` (its score inputs and push
-  /// sequence) into `inputs`/`seq`; false when `url` is not pending.
-  /// The sharded engine reads these before Remove() so its journal can
-  /// break the merged selection's score into per-scorer components.
-  bool LookupPending(PageId url, ScoreInputs* inputs, uint64_t* seq) const {
-    const auto it = pending_.find(url);
-    if (it == pending_.end()) return false;
-    *inputs = it->second.inputs;
-    *seq = it->second.seq;
-    return true;
-  }
+  /// Journals the selection of pending `candidate` at `rank`, its score
+  /// broken into per-scorer components. Call before Remove(): the
+  /// components are computed from the pending entry.
+  void JournalSelect(obs::JournalWriter* journal, const Candidate& candidate,
+                     uint32_t rank) const;
 
  private:
   /// A pending URL's scoring record.

@@ -68,26 +68,39 @@ Status CrawlEngine::Run() {
     }
   }
 
+  Status status;
   VisitResult visit;
+  uint64_t round_left = 0;  // Pages the planner's round may still commit.
   while (true) {
     if (options_.max_pages != 0 && pages_crawled_ >= options_.max_pages) {
       break;
     }
     if (scheduler_->StopRequested()) break;
+    if (planner_ != nullptr && round_left == 0) {
+      round_left = planner_->BeginRound(
+          state_, options_.max_pages != 0 ? options_.max_pages - pages_crawled_
+                                          : UINT64_MAX);
+      if (round_left == 0) break;
+    }
     const auto next = scheduler_->Next(state_);
     if (!next.has_value()) break;
     if (state_.crawled(*next)) continue;  // Stale duplicate from a re-push.
-    LSWC_RETURN_IF_ERROR(CrawlOne(*next, &visit));
+    status = CrawlOne(*next, &visit);
+    if (!status.ok()) break;
+    --round_left;  // Read only with a planner attached.
   }
-  if (pages_crawled_ % sample_interval_ != 0 || pages_crawled_ == 0) {
+  if (status.ok() &&
+      (pages_crawled_ % sample_interval_ != 0 || pages_crawled_ == 0)) {
     NotifySample(/*is_final=*/true);
   }
-  return Status::OK();
+  if (planner_ != nullptr) planner_->EndRun();
+  return status;
 }
 
 Status CrawlEngine::CrawlOne(PageId url, VisitResult* visit) {
   state_.MarkCrawled(url);
-  LSWC_RETURN_IF_ERROR(visitor_.Visit(url, visit));
+  LSWC_RETURN_IF_ERROR(planner_ != nullptr ? planner_->Visit(url, visit)
+                                           : visitor_.Visit(url, visit));
   const bool ok = visit->response.ok();
 
   if (ok) {
@@ -176,6 +189,7 @@ Status CrawlEngine::CrawlOne(PageId url, VisitResult* visit) {
   event.judged_relevant = visit->judgment.relevant;
   event.frontier_size = scheduler_->size();
   event.pages_crawled = pages_crawled_;
+  event.shard = planner_ != nullptr ? planner_->owner(url) : 0;
   if (frontier_depth_ != nullptr) frontier_depth_->Record(event.frontier_size);
   if (journal_ != nullptr) {
     journal_->Fetch(url, ok, event.truly_relevant, event.judged_relevant,
@@ -218,6 +232,7 @@ snapshot::CrawlFingerprint CrawlEngine::Fingerprint() const {
   fp.scheduler_kind = scheduler_->SnapshotKind();
   fp.batch_k = options_.batch_k;
   fp.scorer_spec = options_.scorer_spec;
+  fp.num_shards = planner_ != nullptr ? planner_->num_shards() : 0;
   fp.dataset_file = options_.dataset_file;
   fp.memory_budget_mb = options_.memory_budget_mb;
   return fp;

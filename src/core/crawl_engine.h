@@ -103,6 +103,36 @@ class FrontierPopScheduler final : public FrontierScheduler {
   Frontier* frontier_;
 };
 
+/// The engine's port to a visit planner — the sharded engine's plan ->
+/// parallel-visit speculation. With a planner attached the loop runs in
+/// rounds: at each round boundary it calls BeginRound, which picks the
+/// round's URLs from the frontier, visits them ahead of the commit and
+/// returns how many pages the round commits. Each committed page then
+/// takes its visit from Visit instead of the engine's own visitor; the
+/// commit itself (crawl state, strategy, pushes, journal, observers)
+/// stays the loop's, so a planned crawl decides exactly as a plain one.
+class VisitPlanner {
+ public:
+  virtual ~VisitPlanner() = default;
+
+  /// Starts a round that may commit at most `pages_left` pages. Returns
+  /// the round's page budget; 0 ends the crawl (frontier exhausted).
+  virtual uint64_t BeginRound(const CrawlState& state,
+                              uint64_t pages_left) = 0;
+
+  /// The visit of `url`: the round's speculative result, or an inline
+  /// visit when the plan missed it.
+  virtual Status Visit(PageId url, VisitResult* visit) = 0;
+
+  /// Called once when Run ends (after the final sample, also on error).
+  virtual void EndRun() = 0;
+
+  /// The shard that owns `url`, reported in FetchEvent::shard.
+  virtual uint32_t owner(PageId url) const = 0;
+  /// The shard count, recorded in the snapshot fingerprint.
+  virtual uint32_t num_shards() const = 0;
+};
+
 /// Engine knobs — the subset of SimulationOptions the crawl loop itself
 /// consumes.
 struct CrawlEngineOptions {
@@ -136,11 +166,12 @@ struct CrawlEngineOptions {
   uint64_t memory_budget_mb = 0;
 };
 
-/// The crawl loop of the paper's Fig 2, extracted so that every driver
-/// (Simulator, PolitenessSimulator, future sharded/checkpointing
-/// drivers) runs the *same* seed-push / fetch / judge / expand /
-/// re-push cycle over the same CrawlState, differing only in the
-/// FrontierScheduler they plug in and the CrawlObservers they attach.
+/// The crawl loop of the paper's Fig 2: every driver (Simulator,
+/// PolitenessSimulator, the sharded engine) runs the *same* seed-push /
+/// fetch / judge / expand / re-push cycle over the same CrawlState,
+/// differing only in the FrontierScheduler they plug in, the
+/// CrawlObservers they attach and, for the sharded engine, the
+/// VisitPlanner that supplies the visits.
 ///
 /// The engine owns the per-URL CrawlState and a MetricsRecorder (the
 /// §3.4 metrics), which is attached to the observer bus like any other
@@ -163,6 +194,10 @@ class CrawlEngine : public Checkpointable {
   /// restore it. Optional: runs whose strategies never draw randomness
   /// need no RNG in the checkpoint.
   void AttachRng(Rng* rng) { rng_ = rng; }
+
+  /// Runs the loop in rounds with `planner` (not owned) supplying the
+  /// visits; see VisitPlanner. Attach before Run.
+  void AttachVisitPlanner(VisitPlanner* planner) { planner_ = planner; }
 
   /// Seeds the frontier (unless resumed from a snapshot) and runs the
   /// crawl to completion: frontier exhausted, `max_pages` reached, or the
@@ -210,6 +245,7 @@ class CrawlEngine : public Checkpointable {
   MetricsRecorder metrics_;
   std::string classifier_name_;
   Rng* rng_ = nullptr;
+  VisitPlanner* planner_ = nullptr;
   bool resumed_ = false;
   uint64_t pages_crawled_ = 0;
   obs::JournalWriter* journal_ = nullptr;

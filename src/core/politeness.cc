@@ -7,12 +7,9 @@
 
 #include <cmath>
 
-#include "core/checkpoint.h"
 #include "core/crawl_engine.h"
 #include "core/host_frontier.h"
 #include "core/metrics.h"
-#include "core/obs_observers.h"
-#include "core/telemetry_publisher.h"
 #include "obs/run_obs.h"
 #include "snapshot/series_io.h"
 
@@ -264,9 +261,7 @@ StatusOr<PolitenessResult> PolitenessSimulator::Run() {
   PolitenessScheduler scheduler(&web_->graph(),
                                 strategy_->num_priority_levels(), options_);
 
-  obs::RunObs* obs =
-      options_.obs != nullptr && options_.obs->enabled ? options_.obs
-                                                       : nullptr;
+  obs::RunObs* obs = options_.enabled_obs();
   if (obs != nullptr) scheduler.AttachObs(&obs->registry);
   CrawlEngineOptions engine_options;
   engine_options.max_pages = options_.max_pages;
@@ -280,51 +275,7 @@ StatusOr<PolitenessResult> PolitenessSimulator::Run() {
   scheduler.RegisterTimedSeries(&series);
   TimedSeriesObserver series_observer(&series, &scheduler, &engine.metrics());
   engine.AddObserver(&series_observer);
-  std::unique_ptr<TraceEventObserver> trace_events;
-  if (obs != nullptr && obs->trace != nullptr) {
-    trace_events = std::make_unique<TraceEventObserver>(obs->trace.get());
-    engine.AddObserver(trace_events.get());
-  }
-  std::unique_ptr<TelemetryPublisher> publisher;
-  if (options_.telemetry != nullptr ||
-      (obs != nullptr && options_.progress_every != 0)) {
-    TelemetryPublisher::Options pub;
-    pub.telemetry = options_.telemetry;
-    pub.run_label = !options_.run_label.empty() ? options_.run_label
-                    : options_.snapshot_label.empty() ? "crawl"
-                                                      : options_.snapshot_label;
-    pub.phase = "politeness";
-    pub.metrics = &engine.metrics();
-    pub.obs = obs;
-    pub.progress_every = obs != nullptr ? options_.progress_every : 0;
-    publisher = std::make_unique<TelemetryPublisher>(std::move(pub));
-    engine.AddObserver(publisher.get());
-  }
-  for (CrawlObserver* observer : options_.observers) {
-    engine.AddObserver(observer);
-  }
-  std::unique_ptr<CheckpointObserver> checkpoint;
-  if (options_.checkpoint_every_pages != 0) {
-    if (options_.snapshot_dir.empty()) {
-      return Status::InvalidArgument(
-          "checkpoint_every_pages requires snapshot_dir");
-    }
-    const std::string label = SanitizeSnapshotLabel(
-        options_.snapshot_label.empty() ? "crawl" : options_.snapshot_label);
-    checkpoint = std::make_unique<CheckpointObserver>(
-        &engine, options_.checkpoint_every_pages,
-        options_.snapshot_dir + "/" + label + ".snap");
-    checkpoint->AttachObs(obs);
-    engine.AddObserver(checkpoint.get());
-  }
-  if (!options_.resume_path.empty()) {
-    LSWC_RETURN_IF_ERROR(engine.ResumeFromSnapshot(options_.resume_path));
-  }
-  LSWC_RETURN_IF_ERROR(engine.Run());
-  if (publisher != nullptr) publisher->PublishFinal();
-  if (checkpoint != nullptr) {
-    LSWC_RETURN_IF_ERROR(checkpoint->status());
-  }
+  LSWC_RETURN_IF_ERROR(RunEngine(&engine, options_, "politeness"));
 
   const MetricsRecorder& metrics = engine.metrics();
   const double now = scheduler.now();

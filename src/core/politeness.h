@@ -6,6 +6,7 @@
 
 #include "core/classifier.h"
 #include "core/crawl_observer.h"
+#include "core/driver.h"
 #include "core/strategy.h"
 #include "core/virtual_web.h"
 #include "obs/obs_fwd.h"
@@ -16,8 +17,14 @@ namespace lswc {
 
 /// Timing model for the politeness-aware simulator — the enhancement the
 /// paper names as future work ("incorporating transfer delays and access
-/// intervals in the simulation").
-struct PolitenessOptions {
+/// intervals in the simulation") — on top of the options every driver
+/// shares. Politeness snapshots additionally capture the simulated
+/// clock, the in-flight fetch slots, and every per-host ready time; an
+/// enabled obs bundle adds the `politeness.fetch_latency_us` histogram
+/// (simulated transfer time per fetch) and the host frontier's
+/// push/pop/wait instrumentation. The engine's MetricsRecorder and the
+/// timed-series recorder are attached before the caller's observers.
+struct PolitenessOptions : DriverOptions {
   /// Parallel fetch slots (connections) of the simulated crawler.
   int num_connections = 16;
   /// Per-request fixed latency (DNS+connect+TTFB), seconds.
@@ -26,40 +33,8 @@ struct PolitenessOptions {
   double bandwidth_bytes_per_sec = 2.0e6;
   /// Minimum spacing between two requests to the same host, seconds.
   double min_access_interval_sec = 1.0;
-  /// Stop after this many crawled URLs (0 = until frontier empties).
-  uint64_t max_pages = 0;
   /// Stop after this much simulated time (0 = no limit), seconds.
   double max_sim_time_sec = 0.0;
-  /// Series sampling step in crawled pages (0 = auto).
-  uint64_t sample_interval = 0;
-  /// Additional crawl observers (not owned; must outlive the run). The
-  /// engine's MetricsRecorder and the timed-series recorder are always
-  /// attached first.
-  std::vector<CrawlObserver*> observers;
-  /// Checkpoint / resume, mirroring SimulationOptions: write a rolling
-  /// full-state snapshot (`<snapshot_dir>/<snapshot_label>.snap`) every
-  /// N crawled pages; resume_path restores one before the run starts.
-  /// Politeness snapshots additionally capture the simulated clock, the
-  /// in-flight fetch slots, and every per-host ready time.
-  uint64_t checkpoint_every_pages = 0;
-  std::string snapshot_dir;
-  std::string snapshot_label;
-  std::string resume_path;
-  /// Per-run observability bundle (not owned; may be null). Adds the
-  /// engine's stage probes plus politeness-specific metrics: the
-  /// `politeness.fetch_latency_us` histogram (simulated transfer time
-  /// per fetch) and the host frontier's push/pop/wait instrumentation.
-  obs::RunObs* obs = nullptr;
-  /// Print a progress line to stderr every N crawled pages (0 = never;
-  /// needs an enabled `obs` bundle). Rendered from the published
-  /// telemetry snapshot, like SimulationOptions::progress_every.
-  uint64_t progress_every = 0;
-  /// Live telemetry slot and display label, mirroring SimulationOptions.
-  obs::TelemetryContext* telemetry = nullptr;
-  std::string run_label;
-  /// Decision journal sink (not owned; may be null), mirroring
-  /// SimulationOptions::journal. The caller opens and finalizes it.
-  obs::JournalWriter* journal = nullptr;
 };
 
 struct PolitenessSummary {

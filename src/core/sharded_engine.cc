@@ -1,24 +1,319 @@
 #include "core/sharded_engine.h"
 
 #include <algorithm>
-#include <array>
+#include <deque>
+#include <mutex>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "obs/journal.h"
 #include "obs/run_obs.h"
 #include "obs/telemetry.h"
-#include "snapshot/snapshot_file.h"
+#include "webgraph/link_db.h"
 
 namespace lswc {
 
-namespace {
+/// The frontier side of the sharded engine: one slice per shard behind
+/// the engine's scheduler port, with the global push sequence, the
+/// global size and (batch regime) the selected batch. Called only from
+/// the crawl loop's thread; a rescore ranks the slices on the pool.
+class ShardedScheduler final : public FrontierScheduler {
+ public:
+  ShardedScheduler(const ShardRouter* router,
+                   std::vector<std::unique_ptr<ShardFrontier>> pop_slices,
+                   std::vector<std::unique_ptr<BatchFrontier>> batch_slices,
+                   ThreadPool* pool, obs::RunObs* obs,
+                   obs::JournalWriter* journal)
+      : router_(router),
+        pop_(std::move(pop_slices)),
+        batch_(std::move(batch_slices)),
+        pool_(pool),
+        journal_(journal) {
+    if (obs == nullptr) return;
+    profiler_ = &obs->profiler;
+    if (!batch_.empty()) {
+      rescore_rounds_ = obs->registry.counter("frontier.rescore_rounds");
+      selected_urls_ = obs->registry.counter("frontier.selected_urls");
+    }
+  }
 
-// Same auto-cadence as CrawlEngine: ~400 samples over the run horizon.
-uint64_t ResolveSampleInterval(uint64_t requested, uint64_t max_pages,
-                               size_t num_pages) {
-  if (requested != 0) return requested;
-  const uint64_t horizon = max_pages != 0 ? max_pages : num_pages;
-  return std::max<uint64_t>(1, horizon / 400);
-}
+  // Pool tasks hold `this`.
+  ShardedScheduler(const ShardedScheduler&) = delete;
+  ShardedScheduler& operator=(const ShardedScheduler&) = delete;
+
+  void Push(PageId url, int priority) override {
+    PushScored(url, priority, PushContext{});
+  }
+
+  void PushScored(PageId url, int priority,
+                  const PushContext& context) override {
+    if (!batch_.empty()) {
+      // Mirrors the serial BatchFrontier: a URL in the current batch
+      // ignores pushes (and consumes no sequence number); a re-push of a
+      // pending URL updates its context in place without growing the
+      // frontier.
+      if (in_batch_.count(url) != 0) return;
+      if (!batch_[owner(url)]->PushWithSeq(url, priority, context,
+                                           next_seq_)) {
+        return;
+      }
+      ++next_seq_;
+    } else {
+      pop_[owner(url)]->Push(url, priority, next_seq_++);
+    }
+    ++size_;
+    max_size_ = std::max(max_size_, size_);
+  }
+
+  std::optional<PageId> Next(const CrawlState& state) override {
+    (void)state;
+    if (!batch_.empty()) {
+      // The planner's batch round covers at most the queued batch, so
+      // the loop never asks past its end.
+      if (batch_queue_.empty()) return std::nullopt;
+      const PageId url = batch_queue_.front();
+      batch_queue_.pop_front();
+      in_batch_.erase(url);
+      --size_;
+      return url;
+    }
+    obs::ScopedStage merge_stage(profiler_, obs::Stage::kMerge);
+    ShardFrontier* best = nullptr;
+    int best_level = -1;
+    uint64_t best_seq = 0;
+    for (const auto& slice : pop_) {
+      const auto head = slice->PeekHead();
+      if (!head.has_value()) continue;
+      if (best == nullptr || head->level > best_level ||
+          (head->level == best_level && head->seq < best_seq)) {
+        best = slice.get();
+        best_level = head->level;
+        best_seq = head->seq;
+      }
+    }
+    if (best == nullptr) return std::nullopt;
+    const PageId url = best->PeekHead()->url;
+    best->PopHead();
+    --size_;
+    return url;
+  }
+
+  size_t size() const override { return size_; }
+
+  std::string SnapshotKind() const override {
+    if (!batch_.empty()) return "sharded-batch";
+    return pop_[0]->num_levels() <= 1 ? "sharded-fifo" : "sharded-bucket";
+  }
+
+  /// Payload: shard count, push sequence, global size and peak, the
+  /// queued batch (batch regime), then every slice in shard order.
+  Status SaveState(snapshot::SectionWriter* w) const override {
+    w->U64(router_->num_shards());
+    w->U64(next_seq_);
+    w->U64(size_);
+    w->U64(max_size_);
+    if (!batch_.empty()) {
+      w->U32Vec(std::vector<uint32_t>(batch_queue_.begin(),
+                                      batch_queue_.end()));
+      for (const auto& slice : batch_) LSWC_RETURN_IF_ERROR(slice->Save(w));
+    } else {
+      for (const auto& slice : pop_) slice->Save(w);
+    }
+    return Status::OK();
+  }
+
+  Status RestoreState(snapshot::SectionReader* r) override {
+    const uint64_t saved_shards = r->U64();
+    next_seq_ = r->U64();
+    size_ = r->U64();
+    max_size_ = r->U64();
+    LSWC_RETURN_IF_ERROR(r->status());
+    if (saved_shards != router_->num_shards()) {
+      return Status::Corruption(
+          "sharded frontier holds " + std::to_string(saved_shards) +
+          " shards but the fingerprint matched " +
+          std::to_string(router_->num_shards()));
+    }
+    uint64_t restored = 0;
+    if (!batch_.empty()) {
+      const std::vector<uint32_t> queued = r->U32Vec();
+      LSWC_RETURN_IF_ERROR(r->status());
+      batch_queue_.clear();
+      in_batch_.clear();
+      for (const uint32_t url : queued) {
+        if (!in_batch_.insert(url).second) {
+          return Status::Corruption(
+              "sharded batch queue snapshot repeats a URL");
+        }
+        batch_queue_.push_back(url);
+      }
+      restored = batch_queue_.size();
+      for (const auto& slice : batch_) {
+        LSWC_RETURN_IF_ERROR(slice->Restore(r));
+        restored += slice->size();
+      }
+    } else {
+      for (const auto& slice : pop_) {
+        LSWC_RETURN_IF_ERROR(slice->Restore(r));
+        restored += slice->size();
+      }
+    }
+    if (restored != size_) {
+      return Status::Corruption(
+          "shard frontiers hold " + std::to_string(restored) +
+          " pending URLs but the snapshot recorded " + std::to_string(size_));
+    }
+    return Status::OK();
+  }
+
+  /// Picks the next round for the visit planner and returns how many
+  /// pages it commits (0 = exhausted), calling `plan(url)` on URLs the
+  /// round is expected to pop, in pop order; `plan` returns false for a
+  /// URL it already holds, which then does not count. Pop regime: a
+  /// round commits up to min(`pop_budget`, `pages_left`) pages and plans
+  /// as many uncrawled URLs by walking the merge order without popping.
+  /// Batch regime: `pop_budget` does not apply; the round commits the
+  /// selected batch (rescoring first when it is spent), capped by
+  /// `pages_left`. Both are functions of global state only, so the
+  /// visit work is partition-invariant.
+  uint64_t PlanRound(uint64_t pop_budget, uint64_t pages_left,
+                     const CrawlState& state,
+                     const std::function<bool(PageId)>& plan) {
+    if (!batch_.empty()) {
+      if (batch_queue_.empty()) Rescore();
+      if (batch_queue_.empty()) return 0;  // Pending set exhausted too.
+      const uint64_t budget =
+          std::min<uint64_t>(batch_queue_.size(), pages_left);
+      for (uint64_t i = 0; i < budget; ++i) plan(batch_queue_[i]);
+      return budget;
+    }
+    if (size_ == 0) return 0;
+    const uint64_t budget = std::min(pop_budget, pages_left);
+    obs::ScopedStage merge_stage(profiler_, obs::Stage::kMerge);
+    // One virtual-pop cursor per slice: (level, offset into the level's
+    // deque), parked on its next entry or at level -1 once exhausted.
+    // Advancing a cursor never mutates the frontier.
+    struct Cursor {
+      int level = -1;
+      size_t idx = 0;
+    };
+    std::vector<Cursor> cursor;
+    const auto park = [&](size_t s) {
+      Cursor& c = cursor[s];
+      while (c.level >= 0 && c.idx >= pop_[s]->level_entries(c.level).size()) {
+        --c.level;
+        c.idx = 0;
+      }
+    };
+    const auto entry = [&](size_t s) -> const ShardFrontier::Entry& {
+      return pop_[s]->level_entries(cursor[s].level)[cursor[s].idx];
+    };
+    for (size_t s = 0; s < pop_.size(); ++s) {
+      cursor.push_back(Cursor{pop_[s]->num_levels() - 1});
+      park(s);
+    }
+    uint64_t planned = 0;
+    while (planned < budget) {
+      // The globally next entry: highest level, then lowest sequence —
+      // the same rule Next's merge-pop applies.
+      int best = -1;
+      for (size_t s = 0; s < pop_.size(); ++s) {
+        if (cursor[s].level < 0) continue;
+        if (best < 0 || cursor[s].level > cursor[best].level ||
+            (cursor[s].level == cursor[best].level &&
+             entry(s).seq < entry(best).seq)) {
+          best = static_cast<int>(s);
+        }
+      }
+      if (best < 0) break;  // Every cursor exhausted.
+      const PageId url = entry(best).url;
+      ++cursor[best].idx;
+      park(best);
+      if (state.crawled(url)) continue;  // Stale re-push entry.
+      if (plan(url)) ++planned;
+    }
+    return budget;
+  }
+
+  uint64_t max_size() const { return max_size_; }
+
+  void AppendShardStates(std::vector<obs::ShardState>* out) const {
+    for (uint32_t s = 0; s < router_->num_shards(); ++s) {
+      obs::ShardState state;
+      state.shard = s;
+      state.pending = batch_.empty() ? pop_[s]->size() : batch_[s]->size();
+      out->push_back(state);
+    }
+  }
+
+ private:
+  uint32_t owner(PageId url) const { return router_->owner(url); }
+
+  /// Batch regime: rescores every slice in parallel, merges the
+  /// per-shard top-K lists into the global top K, and moves the winners
+  /// into the batch queue.
+  void Rescore() {
+    obs::ScopedStage stage(profiler_, obs::Stage::kRescore);
+    if (rescore_rounds_ != nullptr) rescore_rounds_->Increment();
+    const uint32_t select_k = batch_[0]->select_k();
+    // Parallel phase: each shard scores and ranks its own pending slice
+    // (pure reads of shard-local state plus shard-local obs counters).
+    std::vector<std::vector<BatchFrontier::Candidate>> tops(batch_.size());
+    for (size_t s = 0; s < batch_.size(); ++s) {
+      if (batch_[s]->pending_size() == 0) continue;
+      pool_->Submit([this, s, select_k, &tops] {
+        tops[s] = batch_[s]->TopCandidates(select_k);
+      });
+    }
+    pool_->Wait();
+    // Serial merge on the same (score desc, seq asc) total order the
+    // per-shard rankings used; sequences are globally unique, so the
+    // global top-K is independent of the partitioning.
+    std::vector<BatchFrontier::Candidate> merged;
+    for (const auto& top : tops) {
+      merged.insert(merged.end(), top.begin(), top.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    if (merged.size() > select_k) merged.resize(select_k);
+    if (journal_ != nullptr) {
+      // The global pending set is the union of the shard slices, so this
+      // round record matches the serial BatchFrontier's byte-for-byte.
+      size_t pending_before = 0;
+      for (const auto& slice : batch_) pending_before += slice->pending_size();
+      journal_->BatchRound(pending_before, merged.size());
+    }
+    uint32_t rank = 0;
+    for (const BatchFrontier::Candidate& c : merged) {
+      BatchFrontier* slice = batch_[owner(c.url)].get();
+      if (journal_ != nullptr) slice->JournalSelect(journal_, c, rank);
+      ++rank;
+      slice->Remove(c.url);
+      batch_queue_.push_back(c.url);
+      in_batch_.insert(c.url);
+    }
+    if (selected_urls_ != nullptr) selected_urls_->Add(merged.size());
+  }
+
+  const ShardRouter* router_;
+  /// Exactly one of the two is non-empty, matching the regime.
+  std::vector<std::unique_ptr<ShardFrontier>> pop_;
+  std::vector<std::unique_ptr<BatchFrontier>> batch_;
+  ThreadPool* pool_;
+  obs::JournalWriter* journal_;
+  uint64_t next_seq_ = 0;  // Global push sequence counter.
+  uint64_t size_ = 0;      // Pending across slices (+ batch queue).
+  uint64_t max_size_ = 0;  // Peak of size_, updated on push.
+  /// Batch regime: the current globally selected batch, in selection
+  /// order, plus its membership set.
+  std::deque<PageId> batch_queue_;
+  std::unordered_set<PageId> in_batch_;
+  obs::StageProfiler* profiler_ = nullptr;
+  obs::Counter* rescore_rounds_ = nullptr;
+  obs::Counter* selected_urls_ = nullptr;
+};
+
+namespace {
 
 /// Fallback for classifiers that cannot Clone(): every shard shares the
 /// single instance, serialized through one mutex. Correct (and
@@ -45,33 +340,154 @@ class LockedClassifier final : public Classifier {
 
 }  // namespace
 
-ShardedCrawlEngine::ShardedCrawlEngine(VirtualWebSpace* web,
-                                       Classifier* classifier,
-                                       const CrawlStrategy* strategy,
-                                       ShardedEngineOptions options)
-    : web_(web),
-      strategy_(strategy),
-      options_(options),
-      router_(web->graph(), options.num_shards),
-      sample_interval_(ResolveSampleInterval(options.sample_interval,
-                                             options.max_pages,
-                                             web->graph().num_pages())),
-      batch_size_(options.batch_size == 0 ? 256 : options.batch_size),
-      metrics_(web->graph().ComputeStats().relevant_ok_pages,
-               sample_interval_),
-      classifier_name_(classifier->name()),
-      journal_(options.journal) {
-  AddObserver(&metrics_);
-  if (options.obs != nullptr && options.obs->enabled) {
-    obs::RunObs* obs = options.obs;
-    profiler_ = &obs->profiler;
-    frontier_depth_ = obs->registry.histogram("frontier.depth");
-    push_level_ = obs->registry.histogram("frontier.push_level");
-    pushes_ = obs->registry.counter("crawl.pushes");
-    repushes_ = obs->registry.counter("crawl.repushes");
-    link_drops_ = obs->registry.counter("crawl.link_drops");
+/// The visit side of the sharded engine: everything a parallel visit
+/// touches is per shard (or immutable), and the cache of speculative
+/// visits is written by the workers only into slots reserved serially.
+class ShardVisitPlanner final : public VisitPlanner {
+ public:
+  /// `shard_obs` holds one child bundle per shard, or is empty when the
+  /// run has no (enabled) obs bundle.
+  ShardVisitPlanner(const ShardRouter* router, ShardedScheduler* scheduler,
+                    ThreadPool* pool, VirtualWebSpace* web,
+                    Classifier* classifier, const ShardedEngineOptions& options,
+                    std::vector<std::unique_ptr<obs::RunObs>> shard_obs)
+      : router_(router),
+        scheduler_(scheduler),
+        pool_(pool),
+        obs_(options.obs),
+        batch_size_(options.batch_size == 0 ? 256 : options.batch_size),
+        plans_(router->num_shards()) {
+    const WebGraph& graph = web->graph();
+    for (uint32_t s = 0; s < router->num_shards(); ++s) {
+      auto shard = std::make_unique<Shard>();
+      shard->link_db = std::make_unique<InMemoryLinkDb>(&graph);
+      shard->web = std::make_unique<VirtualWebSpace>(
+          &graph, shard->link_db.get(), web->render_mode());
+      shard->classifier = classifier->Clone();
+      if (shard->classifier == nullptr) {
+        if (classifier_mu_ == nullptr) {
+          classifier_mu_ = std::make_unique<std::mutex>();
+        }
+        shard->classifier = std::make_unique<LockedClassifier>(
+            classifier, classifier_mu_.get());
+      }
+      shard->visitor = std::make_unique<Visitor>(
+          shard->web.get(), shard->classifier.get(), options.parse_html);
+      if (!shard_obs.empty()) {
+        shard->obs = std::move(shard_obs[s]);
+        shard->visitor->set_profiler(&shard->obs->profiler);
+      }
+      shards_.push_back(std::move(shard));
+    }
   }
-}
+
+  // Pool tasks hold `this`.
+  ShardVisitPlanner(const ShardVisitPlanner&) = delete;
+  ShardVisitPlanner& operator=(const ShardVisitPlanner&) = delete;
+
+  uint64_t BeginRound(const CrawlState& state, uint64_t pages_left) override {
+    EnableShardTraces();
+    for (auto& plan : plans_) plan.clear();
+    const uint64_t budget = scheduler_->PlanRound(
+        batch_size_, pages_left, state, [this](PageId url) {
+          const auto [slot, inserted] = cache_.try_emplace(url);
+          if (!inserted) return false;  // Already visited or planned.
+          plans_[owner(url)].emplace_back(url, &slot->second);
+          return true;
+        });
+    uint32_t tasks_in_round = 0;
+    for (const auto& plan : plans_) tasks_in_round += plan.empty() ? 0 : 1;
+    for (uint32_t s = 0; s < plans_.size(); ++s) {
+      if (plans_[s].empty()) continue;
+      pool_->Submit([this, s, tasks_in_round] {
+        if (visit_start_hook_) visit_start_hook_(s, tasks_in_round);
+        Visitor& visitor = *shards_[s]->visitor;
+        for (const auto& [url, slot] : plans_[s]) {
+          slot->status = visitor.Visit(url, &slot->visit);
+        }
+      });
+    }
+    pool_->Wait();
+    return budget;
+  }
+
+  Status Visit(PageId url, VisitResult* visit) override {
+    const auto it = cache_.find(url);
+    if (it == cache_.end()) {
+      // Speculation miss (a fresher push overtook the plan): visit
+      // inline, serially, on the owning shard's visitor.
+      return shards_[owner(url)]->visitor->Visit(url, visit);
+    }
+    const Status status = it->second.status;
+    *visit = std::move(it->second.visit);
+    cache_.erase(it);
+    return status;
+  }
+
+  void EndRun() override {
+    // Leftover speculative visits are discarded: a page the crawl never
+    // committed contributes nothing to any output.
+    cache_.clear();
+    EnableShardTraces();  // A run that planned no round still gets them.
+    // Fold the visit-side stage counts, registries and shard trace
+    // tracks into the parent bundle.
+    if (obs_ == nullptr) return;
+    for (auto& shard : shards_) {
+      obs_->MergeFrom(*shard->obs);
+      if (shard->obs->trace != nullptr) {
+        obs_->shard_traces.push_back(std::move(shard->obs->trace));
+      }
+    }
+  }
+
+  uint32_t owner(PageId url) const override { return router_->owner(url); }
+  uint32_t num_shards() const override { return router_->num_shards(); }
+
+  void set_visit_start_hook(std::function<void(uint32_t, uint32_t)> hook) {
+    visit_start_hook_ = std::move(hook);
+  }
+
+ private:
+  struct Shard {
+    std::unique_ptr<InMemoryLinkDb> link_db;
+    std::unique_ptr<VirtualWebSpace> web;
+    std::unique_ptr<Classifier> classifier;  // Clone or locked wrapper.
+    std::unique_ptr<Visitor> visitor;
+    std::unique_ptr<obs::RunObs> obs;  // Child bundle; null when obs off.
+  };
+
+  /// A speculative visit result, keyed by URL in `cache_`.
+  struct CacheEntry {
+    Status status = Status::OK();
+    VisitResult visit;
+  };
+
+  /// One trace track per shard, derived from the parent track id, made
+  /// lazily so drivers may EnableTrace on the parent any time before Run.
+  void EnableShardTraces() {
+    if (obs_ == nullptr || obs_->trace == nullptr) return;
+    const int base = (obs_->trace->tid() + 1) * 1000;
+    for (uint32_t s = 0; s < shards_.size(); ++s) {
+      if (shards_[s]->obs->trace == nullptr) {
+        shards_[s]->obs->EnableTrace(base + static_cast<int>(s),
+                                     "shard-" + std::to_string(s));
+      }
+    }
+  }
+
+  const ShardRouter* router_;
+  ShardedScheduler* scheduler_;
+  ThreadPool* pool_;
+  obs::RunObs* obs_;  // Parent bundle; null when obs off.
+  uint64_t batch_size_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Set when the classifier could not be cloned: every shard's locked
+  /// wrapper serializes Judge() calls through this mutex.
+  std::unique_ptr<std::mutex> classifier_mu_;
+  std::unordered_map<PageId, CacheEntry> cache_;
+  std::vector<std::vector<std::pair<PageId, CacheEntry*>>> plans_;
+  std::function<void(uint32_t, uint32_t)> visit_start_hook_;
+};
 
 StatusOr<std::unique_ptr<ShardedCrawlEngine>> ShardedCrawlEngine::Create(
     VirtualWebSpace* web, Classifier* classifier,
@@ -80,768 +496,73 @@ StatusOr<std::unique_ptr<ShardedCrawlEngine>> ShardedCrawlEngine::Create(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("sharded engine needs num_shards >= 1");
   }
-  const bool batch = frontier_options.kind == "batch";
-  std::vector<std::unique_ptr<ShardFrontier>> pop_frontiers;
-  std::vector<std::unique_ptr<BatchFrontier>> batch_frontiers;
-  if (batch) {
+  std::vector<std::unique_ptr<ShardFrontier>> pop_slices;
+  std::vector<std::unique_ptr<BatchFrontier>> batch_slices;
+  if (frontier_options.kind == "batch") {
     auto f = MakeBatchFrontiers(frontier_options, options.num_shards);
     LSWC_RETURN_IF_ERROR(f.status());
-    batch_frontiers = std::move(f).value();
+    batch_slices = std::move(f).value();
+    // Canonical batch identity for the fingerprint: the constructed
+    // frontier's resolved values, not the raw caller options.
+    options.batch_k = batch_slices[0]->select_k();
+    options.scorer_spec = batch_slices[0]->scorer().name();
   } else {
     auto f =
         MakeShardFrontiers(*strategy, frontier_options, options.num_shards);
     LSWC_RETURN_IF_ERROR(f.status());
-    pop_frontiers = std::move(f).value();
+    pop_slices = std::move(f).value();
   }
-
-  std::unique_ptr<ShardedCrawlEngine> engine(
-      new ShardedCrawlEngine(web, classifier, strategy, options));
-  if (batch) {
-    engine->batch_mode_ = true;
-    engine->select_k_ = batch_frontiers[0]->select_k();
-    // Canonical batch identity for the fingerprint: the constructed
-    // frontier's resolved values, not the raw caller options.
-    engine->options_.batch_k = engine->select_k_;
-    engine->options_.scorer_spec = batch_frontiers[0]->scorer().name();
-    if (options.obs != nullptr && options.obs->enabled) {
-      engine->rescore_rounds_ =
-          options.obs->registry.counter("frontier.rescore_rounds");
-      engine->selected_urls_ =
-          options.obs->registry.counter("frontier.selected_urls");
-    }
-  }
-  const WebGraph& graph = web->graph();
-  const uint32_t num_shards = engine->router_.num_shards();
-
-  // Global id -> (owner, local rank within owner, ascending page order).
-  std::vector<size_t> counts(num_shards, 0);
-  engine->local_id_.resize(graph.num_pages());
-  for (PageId p = 0; p < graph.num_pages(); ++p) {
-    const uint32_t s = engine->router_.owner(p);
-    engine->local_id_[p] = static_cast<uint32_t>(counts[s]++);
-  }
-
-  const bool obs_on = options.obs != nullptr && options.obs->enabled;
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(
-        counts[s], Mix64(graph.generator_seed() ^ (uint64_t{s} + 1)));
-    shard->link_db = std::make_unique<InMemoryLinkDb>(&graph);
-    shard->web = std::make_unique<VirtualWebSpace>(&graph,
-                                                   shard->link_db.get(),
-                                                   web->render_mode());
-    std::unique_ptr<Classifier> clone = classifier->Clone();
-    if (clone != nullptr) {
-      shard->classifier = std::move(clone);
-    } else {
-      if (engine->classifier_mu_ == nullptr) {
-        engine->classifier_mu_ = std::make_unique<std::mutex>();
-      }
-      shard->classifier = std::make_unique<LockedClassifier>(
-          classifier, engine->classifier_mu_.get());
-    }
-    shard->visitor = std::make_unique<Visitor>(
-        shard->web.get(), shard->classifier.get(), options.parse_html);
-    if (batch) {
-      shard->batch_frontier = std::move(batch_frontiers[s]);
-    } else {
-      shard->frontier = std::move(pop_frontiers[s]);
-    }
-    if (obs_on) {
-      shard->obs = std::make_unique<obs::RunObs>();
-      shard->visitor->set_profiler(&shard->obs->profiler);
-      if (batch) {
-        // frontier.scored_urls lands on the shard registry (incremented
-        // from the shard's rescore task) and is summed into the parent
-        // by MergeShardObs.
-        shard->batch_frontier->AttachObs(&shard->obs->registry, nullptr);
-      }
-    }
-    engine->shards_.push_back(std::move(shard));
-  }
-  return engine;
+  if (options.obs != nullptr && !options.obs->enabled) options.obs = nullptr;
+  return std::unique_ptr<ShardedCrawlEngine>(
+      new ShardedCrawlEngine(web, classifier, strategy, std::move(pop_slices),
+                             std::move(batch_slices), options));
 }
 
-void ShardedCrawlEngine::AddObserver(CrawlObserver* observer) {
-  observers_.push_back(observer);
-  if (observer->wants_link_events()) link_observers_.push_back(observer);
-}
-
-void ShardedCrawlEngine::PushFrontier(PageId url, int priority,
-                                      const PushContext& context) {
-  if (batch_mode_) {
-    // Mirrors the serial BatchFrontier: a URL in the current batch
-    // ignores pushes (and consumes no sequence number); a re-push of a
-    // pending URL updates its context in place without growing the
-    // frontier.
-    if (in_batch_.count(url) != 0) return;
-    if (shards_[owner(url)]->batch_frontier->PushWithSeq(url, priority,
-                                                         context, next_seq_)) {
-      ++next_seq_;
-      ++global_size_;
-      global_max_size_ = std::max(global_max_size_, global_size_);
-    }
-    return;
-  }
-  shards_[owner(url)]->frontier->Push(url, priority, next_seq_++);
-  ++global_size_;
-  global_max_size_ = std::max(global_max_size_, global_size_);
-}
-
-void ShardedCrawlEngine::PlanRound(
-    uint64_t visit_budget,
-    std::vector<std::vector<std::pair<PageId, CacheEntry*>>>* plans) {
-  const uint32_t num_shards = router_.num_shards();
-  // One virtual-pop cursor per shard: (level, offset into the level's
-  // deque). Advancing a cursor never mutates the frontier.
-  struct Cursor {
-    int level = -1;
-    size_t idx = 0;
-  };
-  std::vector<Cursor> cursor(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    const ShardFrontier& f = *shards_[s]->frontier;
-    for (int level = f.num_levels() - 1; level >= 0; --level) {
-      if (!f.level_entries(level).empty()) {
-        cursor[s].level = level;
-        break;
-      }
-    }
-  }
-  const auto advance = [&](uint32_t s) {
-    const ShardFrontier& f = *shards_[s]->frontier;
-    Cursor& c = cursor[s];
-    ++c.idx;
-    while (c.level >= 0 && c.idx >= f.level_entries(c.level).size()) {
-      --c.level;
-      c.idx = 0;
-      while (c.level >= 0 && f.level_entries(c.level).empty()) --c.level;
-    }
-  };
-
-  uint64_t planned = 0;
-  while (planned < visit_budget) {
-    // The globally next entry: highest level, then lowest sequence —
-    // the same rule the commit loop's merge-pop applies.
-    int best_shard = -1;
-    int best_level = -1;
-    uint64_t best_seq = 0;
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      if (cursor[s].level < 0) continue;
-      const ShardFrontier::Entry& e =
-          shards_[s]->frontier->level_entries(cursor[s].level)[cursor[s].idx];
-      if (best_shard < 0 || cursor[s].level > best_level ||
-          (cursor[s].level == best_level && e.seq < best_seq)) {
-        best_shard = static_cast<int>(s);
-        best_level = cursor[s].level;
-        best_seq = e.seq;
-      }
-    }
-    if (best_shard < 0) break;  // Every cursor exhausted.
-    const uint32_t s = static_cast<uint32_t>(best_shard);
-    const PageId url =
-        shards_[s]->frontier->level_entries(cursor[s].level)[cursor[s].idx]
-            .url;
-    advance(s);
-    if (crawled(url)) continue;          // Stale re-push entry.
-    if (cache_.count(url) != 0) continue;  // Already visited or planned.
-    CacheEntry* slot = &cache_[url];
-    (*plans)[s].emplace_back(url, slot);
-    ++planned;
-  }
-}
-
-Status ShardedCrawlEngine::CommitRound(uint64_t commit_budget,
-                                       bool* exhausted) {
-  *exhausted = false;
-  uint64_t committed = 0;
-  while (committed < commit_budget) {
-    if (options_.max_pages != 0 && pages_crawled_ >= options_.max_pages) {
-      return Status::OK();
-    }
-    PageId url = 0;
-    {
-      obs::ScopedStage merge_stage(profiler_, obs::Stage::kMerge);
-      int best_shard = -1;
-      int best_level = -1;
-      uint64_t best_seq = 0;
-      for (uint32_t s = 0; s < router_.num_shards(); ++s) {
-        const auto head = shards_[s]->frontier->PeekHead();
-        if (!head.has_value()) continue;
-        if (best_shard < 0 || head->level > best_level ||
-            (head->level == best_level && head->seq < best_seq)) {
-          best_shard = static_cast<int>(s);
-          best_level = head->level;
-          best_seq = head->seq;
-        }
-      }
-      if (best_shard < 0) {
-        *exhausted = true;
-        return Status::OK();
-      }
-      ShardFrontier& f = *shards_[best_shard]->frontier;
-      url = f.PeekHead()->url;
-      f.PopHead();
-      --global_size_;
-    }
-    if (crawled(url)) continue;  // Stale duplicate from a re-push.
-    CacheEntry entry;
-    const auto it = cache_.find(url);
-    if (it != cache_.end()) {
-      entry = std::move(it->second);
-      cache_.erase(it);
-    } else {
-      // Speculation miss (a fresher push overtook the plan): visit
-      // inline, serially, on the owning shard's visitor.
-      entry.status = shards_[owner(url)]->visitor->Visit(url, &entry.visit);
-    }
-    LSWC_RETURN_IF_ERROR(CommitOne(url, std::move(entry)));
-    ++committed;
-  }
-  return Status::OK();
-}
-
-void ShardedCrawlEngine::RescoreRound() {
-  obs::ScopedStage stage(profiler_, obs::Stage::kRescore);
-  if (rescore_rounds_ != nullptr) rescore_rounds_->Increment();
-  const uint32_t num_shards = router_.num_shards();
-  // Parallel phase: each shard scores and ranks its own pending slice
-  // (pure reads of shard-local state plus shard-local obs counters).
-  std::vector<std::vector<BatchFrontier::Candidate>> tops(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    if (shards_[s]->batch_frontier->pending_size() == 0) continue;
-    pool_->Submit([this, s, &tops] {
-      tops[s] = shards_[s]->batch_frontier->TopCandidates(select_k_);
-    });
-  }
-  pool_->Wait();
-  // Serial merge on the same (score desc, seq asc) total order the
-  // per-shard rankings used; sequences are globally unique, so the
-  // global top-K is independent of the partitioning.
-  std::vector<BatchFrontier::Candidate> merged;
-  for (const auto& top : tops) {
-    merged.insert(merged.end(), top.begin(), top.end());
-  }
-  std::sort(merged.begin(), merged.end());
-  if (merged.size() > select_k_) merged.resize(select_k_);
-  if (journal_ != nullptr) {
-    // The global pending set is the union of the shard slices, so this
-    // round record matches the serial BatchFrontier's byte-for-byte.
-    size_t pending_before = 0;
-    for (const auto& shard : shards_) {
-      pending_before += shard->batch_frontier->pending_size();
-    }
-    journal_->BatchRound(pending_before, merged.size());
-  }
-  std::vector<ScoreComponent> components;
-  uint32_t rank = 0;
-  for (const BatchFrontier::Candidate& c : merged) {
-    BatchFrontier* slice = shards_[owner(c.url)]->batch_frontier.get();
-    if (journal_ != nullptr) {
-      ScoreInputs inputs;
-      uint64_t seq = 0;
-      if (slice->LookupPending(c.url, &inputs, &seq)) {
-        components.clear();
-        slice->scorer().ScoreComponents(c.url, inputs, &components);
-        journal_->BatchSelect(c.url, rank, c.score, c.seq,
-                              static_cast<uint32_t>(components.size()));
-        for (uint32_t i = 0; i < components.size(); ++i) {
-          journal_->ScoreComponent(c.url, i, components[i].name,
-                                   components[i].weighted, components[i].raw);
-        }
-      }
-    }
-    ++rank;
-    slice->Remove(c.url);
-    batch_queue_.push_back(c.url);
-    in_batch_.insert(c.url);
-  }
-  if (selected_urls_ != nullptr) selected_urls_->Add(merged.size());
-}
-
-Status ShardedCrawlEngine::CommitBatchRound(uint64_t budget) {
-  for (uint64_t i = 0; i < budget; ++i) {
-    if (options_.max_pages != 0 && pages_crawled_ >= options_.max_pages) {
-      return Status::OK();
-    }
-    if (batch_queue_.empty()) return Status::OK();
-    const PageId url = batch_queue_.front();
-    batch_queue_.pop_front();
-    in_batch_.erase(url);
-    --global_size_;
-    CacheEntry entry;
-    const auto it = cache_.find(url);
-    if (it != cache_.end()) {
-      entry = std::move(it->second);
-      cache_.erase(it);
-    } else {
-      entry.status = shards_[owner(url)]->visitor->Visit(url, &entry.visit);
-    }
-    LSWC_RETURN_IF_ERROR(CommitOne(url, std::move(entry)));
-  }
-  return Status::OK();
-}
-
-Status ShardedCrawlEngine::CommitOne(PageId url, CacheEntry entry) {
-  Shard& shard = *shards_[owner(url)];
-  shard.state.MarkCrawled(local(url));
-  LSWC_RETURN_IF_ERROR(entry.status);
-  const VisitResult& visit = entry.visit;
-  const bool ok = visit.response.ok();
-
-  if (ok) {
-    obs::ScopedStage strategy_stage(profiler_, obs::Stage::kStrategy);
-    const ParentInfo parent{url, visit.judgment.relevant,
-                            shard.state.annotation(local(url))};
-    PushContext context;
-    context.parent_relevant = visit.judgment.relevant;
-    context.parent_confidence = visit.judgment.confidence;
-    for (PageId child : visit.links) {
-      if (crawled(child)) {
-        if (link_drops_ != nullptr) link_drops_->Increment();
-        if (journal_ != nullptr) {
-          journal_->Drop(child, url, obs::kJournalDropAlreadyCrawled,
-                         visit.judgment.relevant);
-        }
-        for (CrawlObserver* o : link_observers_) {
-          o->OnDrop(child, LinkDropReason::kAlreadyCrawled);
-        }
-        continue;
-      }
-      const LinkDecision d = strategy_->OnLink(parent, child);
-      if (!d.enqueue) {
-        if (link_drops_ != nullptr) link_drops_->Increment();
-        if (journal_ != nullptr) {
-          journal_->Drop(child, url, obs::kJournalDropStrategyDiscard,
-                         visit.judgment.relevant);
-        }
-        for (CrawlObserver* o : link_observers_) {
-          o->OnDrop(child, LinkDropReason::kStrategyDiscard);
-        }
-        continue;
-      }
-      obs::ScopedStage route_stage(profiler_, obs::Stage::kRoute);
-      Shard& child_shard = *shards_[owner(child)];
-      switch (child_shard.state.OfferLink(local(child), d)) {
-        case CrawlState::Offer::kIgnored:
-          if (link_drops_ != nullptr) link_drops_->Increment();
-          if (journal_ != nullptr) {
-            journal_->Drop(child, url, obs::kJournalDropNotBetter,
-                           visit.judgment.relevant);
-          }
-          for (CrawlObserver* o : link_observers_) {
-            o->OnDrop(child, LinkDropReason::kNotBetter);
-          }
-          break;
-        case CrawlState::Offer::kFirst: {
-          obs::ScopedStage push_stage(profiler_, obs::Stage::kFrontierPush);
-          context.annotation = d.annotation;
-          PushFrontier(child, d.priority, context);
-          if (pushes_ != nullptr) {
-            pushes_->Increment();
-            push_level_->Record(
-                static_cast<uint64_t>(std::max(d.priority, 0)));
-          }
-          if (journal_ != nullptr) {
-            journal_->Link(/*repush=*/false, child, url, d.priority,
-                           d.annotation, visit.judgment.relevant);
-          }
-          for (CrawlObserver* o : link_observers_) o->OnEnqueue(child, d);
-          break;
-        }
-        case CrawlState::Offer::kBetter: {
-          obs::ScopedStage push_stage(profiler_, obs::Stage::kFrontierPush);
-          context.annotation = d.annotation;
-          PushFrontier(child, d.priority, context);
-          if (repushes_ != nullptr) {
-            repushes_->Increment();
-            push_level_->Record(
-                static_cast<uint64_t>(std::max(d.priority, 0)));
-          }
-          if (journal_ != nullptr) {
-            journal_->Link(/*repush=*/true, child, url, d.priority,
-                           d.annotation, visit.judgment.relevant);
-          }
-          for (CrawlObserver* o : link_observers_) o->OnRePush(child, d);
-          break;
-        }
-      }
-    }
-  }
-
-  ++pages_crawled_;
-  FetchEvent event;
-  event.url = url;
-  event.ok = ok;
-  event.truly_relevant = web_->graph().IsRelevant(url);
-  event.judged_relevant = visit.judgment.relevant;
-  event.frontier_size = global_size_;
-  event.pages_crawled = pages_crawled_;
-  event.shard = owner(url);
-  if (frontier_depth_ != nullptr) frontier_depth_->Record(event.frontier_size);
-  if (journal_ != nullptr) {
-    journal_->Fetch(url, ok, event.truly_relevant, event.judged_relevant,
-                    event.frontier_size, pages_crawled_);
-  }
-  for (CrawlObserver* o : observers_) o->OnFetch(event);
-  if (pages_crawled_ % sample_interval_ == 0) {
-    NotifySample(/*is_final=*/false);
-  }
-  return Status::OK();
-}
-
-void ShardedCrawlEngine::NotifySample(bool is_final) {
-  obs::ScopedStage stage(profiler_, obs::Stage::kSample);
-  SampleEvent event;
-  event.pages_crawled = pages_crawled_;
-  event.frontier_size = global_size_;
-  event.is_final = is_final;
-  if (journal_ != nullptr) {
-    journal_->Sample(event.frontier_size, pages_crawled_, is_final);
-  }
-  for (CrawlObserver* o : observers_) o->OnSample(event);
-}
-
-Status ShardedCrawlEngine::Run() {
-  const WebGraph& graph = web_->graph();
-  if (graph.seeds().empty()) {
-    MergeShardObs();
-    return Status::FailedPrecondition("graph has no seed URLs");
-  }
-  if (!resumed_) {
-    for (PageId seed : graph.seeds()) {
-      Shard& shard = *shards_[owner(seed)];
-      if (!shard.state.EnqueueSeed(local(seed), strategy_->seed_priority())) {
-        continue;
-      }
-      PushFrontier(seed, strategy_->seed_priority(), PushContext{});
-      if (journal_ != nullptr) {
-        journal_->Seed(seed, strategy_->seed_priority());
-      }
-    }
-  }
-
-  // Shard traces: one deterministic trace track per shard, derived from
-  // the parent track id, created lazily so drivers may EnableTrace on
-  // the bundle any time before Run.
-  if (options_.obs != nullptr && options_.obs->enabled &&
-      options_.obs->trace != nullptr) {
-    const int base = (options_.obs->trace->tid() + 1) * 1000;
+ShardedCrawlEngine::ShardedCrawlEngine(
+    VirtualWebSpace* web, Classifier* classifier,
+    const CrawlStrategy* strategy,
+    std::vector<std::unique_ptr<ShardFrontier>> pop_slices,
+    std::vector<std::unique_ptr<BatchFrontier>> batch_slices,
+    const ShardedEngineOptions& options)
+    : router_(web->graph(), options.num_shards),
+      pool_(router_.num_shards()) {
+  std::vector<std::unique_ptr<obs::RunObs>> shard_obs;
+  if (options.obs != nullptr) {
     for (uint32_t s = 0; s < router_.num_shards(); ++s) {
-      if (shards_[s]->obs != nullptr && shards_[s]->obs->trace == nullptr) {
-        shards_[s]->obs->EnableTrace(base + static_cast<int>(s),
-                                     "shard-" + std::to_string(s));
+      shard_obs.push_back(std::make_unique<obs::RunObs>());
+      // frontier.scored_urls lands on the shard registry (incremented
+      // from the shard's rescore task) and is summed into the parent
+      // when the run ends.
+      if (!batch_slices.empty()) {
+        batch_slices[s]->AttachObs(&shard_obs[s]->registry, nullptr);
       }
     }
   }
-
-  pool_ = std::make_unique<ThreadPool>(router_.num_shards());
-  const uint32_t num_shards = router_.num_shards();
-  std::vector<std::vector<std::pair<PageId, CacheEntry*>>> plans(num_shards);
-  const auto submit_plans = [&] {
-    uint32_t tasks_in_round = 0;
-    for (const auto& plan : plans) {
-      if (!plan.empty()) ++tasks_in_round;
-    }
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      if (plans[s].empty()) continue;
-      const auto* plan = &plans[s];
-      pool_->Submit([this, s, plan, tasks_in_round] {
-        if (visit_start_hook_) visit_start_hook_(s, tasks_in_round);
-        Shard& shard = *shards_[s];
-        for (const auto& [url, slot] : *plan) {
-          slot->status = shard.visitor->Visit(url, &slot->visit);
-        }
-      });
-    }
-    pool_->Wait();
-  };
-  Status status = Status::OK();
-  while (!batch_mode_) {
-    if (options_.max_pages != 0 && pages_crawled_ >= options_.max_pages) {
-      break;
-    }
-    if (global_size_ == 0) break;
-    uint64_t budget = batch_size_;
-    if (options_.max_pages != 0) {
-      budget = std::min<uint64_t>(budget,
-                                  options_.max_pages - pages_crawled_);
-    }
-    for (auto& plan : plans) plan.clear();
-    {
-      obs::ScopedStage merge_stage(profiler_, obs::Stage::kMerge);
-      PlanRound(budget, &plans);
-    }
-    submit_plans();
-    bool exhausted = false;
-    status = CommitRound(budget, &exhausted);
-    if (!status.ok()) break;
-    if (exhausted) break;
-  }
-  while (batch_mode_) {
-    if (options_.max_pages != 0 && pages_crawled_ >= options_.max_pages) {
-      break;
-    }
-    if (batch_queue_.empty()) RescoreRound();
-    if (batch_queue_.empty()) break;  // Pending set exhausted too.
-    // One round commits the whole current batch (<= select_k_ URLs),
-    // capped by the remaining page budget — both are functions of
-    // global state only, so the visit work is partition-invariant.
-    uint64_t budget = batch_queue_.size();
-    if (options_.max_pages != 0) {
-      budget = std::min<uint64_t>(budget,
-                                  options_.max_pages - pages_crawled_);
-    }
-    for (auto& plan : plans) plan.clear();
-    for (uint64_t i = 0; i < budget; ++i) {
-      const PageId url = batch_queue_[i];
-      plans[owner(url)].emplace_back(url, &cache_[url]);
-    }
-    submit_plans();
-    status = CommitBatchRound(budget);
-    if (!status.ok()) break;
-  }
-  pool_.reset();
-  // Leftover speculative visits are discarded: a page the crawl never
-  // committed contributes nothing to any output.
-  cache_.clear();
-  if (status.ok() &&
-      (pages_crawled_ % sample_interval_ != 0 || pages_crawled_ == 0)) {
-    NotifySample(/*is_final=*/true);
-  }
-  MergeShardObs();
-  return status;
+  scheduler_ = std::make_unique<ShardedScheduler>(
+      &router_, std::move(pop_slices), std::move(batch_slices), &pool_,
+      options.obs, options.journal);
+  planner_ = std::make_unique<ShardVisitPlanner>(
+      &router_, scheduler_.get(), &pool_, web, classifier, options,
+      std::move(shard_obs));
+  engine_ = std::make_unique<CrawlEngine>(web, classifier, strategy,
+                                          scheduler_.get(), options);
+  engine_->AttachVisitPlanner(planner_.get());
 }
 
-void ShardedCrawlEngine::MergeShardObs() {
-  if (obs_merged_) return;
-  obs_merged_ = true;
-  obs::RunObs* parent = options_.obs;
-  if (parent == nullptr || !parent->enabled) return;
-  for (auto& shard : shards_) {
-    if (shard->obs == nullptr) continue;
-    parent->MergeFrom(*shard->obs);
-    if (shard->obs->trace != nullptr) {
-      parent->shard_traces.push_back(std::move(shard->obs->trace));
-    }
-  }
+ShardedCrawlEngine::~ShardedCrawlEngine() = default;
+
+uint64_t ShardedCrawlEngine::max_frontier_size() const {
+  return scheduler_->max_size();
 }
 
 void ShardedCrawlEngine::AppendShardStates(
     std::vector<obs::ShardState>* out) const {
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = *shards_[i];
-    obs::ShardState state;
-    state.shard = static_cast<uint32_t>(i);
-    if (shard.frontier != nullptr) {
-      state.pending = shard.frontier->size();
-    } else if (shard.batch_frontier != nullptr) {
-      state.pending = shard.batch_frontier->size();
-    }
-    out->push_back(state);
-  }
+  scheduler_->AppendShardStates(out);
 }
 
-std::string ShardedCrawlEngine::SchedulerKind() const {
-  if (batch_mode_) return "sharded-batch";
-  const int levels = std::max(1, strategy_->num_priority_levels());
-  return levels <= 1 ? "sharded-fifo" : "sharded-bucket";
-}
-
-snapshot::CrawlFingerprint ShardedCrawlEngine::Fingerprint() const {
-  const WebGraph& graph = web_->graph();
-  snapshot::CrawlFingerprint fp;
-  fp.num_pages = graph.num_pages();
-  fp.num_hosts = graph.num_hosts();
-  fp.num_links = graph.num_links();
-  fp.generator_seed = graph.generator_seed();
-  fp.target_language = static_cast<uint8_t>(graph.target_language());
-  fp.strategy_name = strategy_->name();
-  fp.num_priority_levels =
-      static_cast<uint64_t>(strategy_->num_priority_levels());
-  fp.seed_priority = static_cast<uint64_t>(strategy_->seed_priority());
-  fp.classifier_name = classifier_name_;
-  fp.sample_interval = sample_interval_;
-  fp.parse_html = options_.parse_html;
-  fp.scheduler_kind = SchedulerKind();
-  fp.batch_k = options_.batch_k;
-  fp.scorer_spec = options_.scorer_spec;
-  fp.num_shards = router_.num_shards();
-  fp.dataset_file = options_.dataset_file;
-  fp.memory_budget_mb = options_.memory_budget_mb;
-  return fp;
-}
-
-Status ShardedCrawlEngine::SaveSnapshot(const std::string& path,
-                                        uint64_t* bytes_written) const {
-  obs::ScopedStage stage(profiler_, obs::Stage::kCheckpoint);
-  snapshot::SnapshotWriter writer;
-
-  snapshot::SectionWriter fingerprint;
-  Fingerprint().Save(&fingerprint);
-  writer.AddSection(snapshot::SectionId::kFingerprint, fingerprint);
-
-  snapshot::SectionWriter engine;
-  engine.U64(pages_crawled_);
-  writer.AddSection(snapshot::SectionId::kEngine, engine);
-
-  snapshot::SectionWriter shard_meta;
-  shard_meta.U64(router_.num_shards());
-  shard_meta.U64(next_seq_);
-  shard_meta.U64(global_size_);
-  shard_meta.U64(global_max_size_);
-  if (batch_mode_) {
-    // The in-flight global batch, in selection order (the membership
-    // set is rebuilt from it on restore).
-    std::vector<uint32_t> queued(batch_queue_.begin(), batch_queue_.end());
-    shard_meta.U32Vec(queued);
-  }
-  writer.AddSection(snapshot::SectionId::kShardMeta, shard_meta);
-
-  for (uint32_t s = 0; s < router_.num_shards(); ++s) {
-    snapshot::SectionWriter frontier;
-    if (batch_mode_) {
-      LSWC_RETURN_IF_ERROR(shards_[s]->batch_frontier->Save(&frontier));
-    } else {
-      shards_[s]->frontier->Save(&frontier);
-    }
-    writer.AddSection(
-        snapshot::ShardSectionId(snapshot::kShardFrontierBase, s), frontier);
-
-    snapshot::SectionWriter state;
-    shards_[s]->state.Save(&state);
-    writer.AddSection(snapshot::ShardSectionId(snapshot::kShardStateBase, s),
-                      state);
-
-    snapshot::SectionWriter rng;
-    for (uint64_t word : shards_[s]->rng.state()) rng.U64(word);
-    writer.AddSection(snapshot::ShardSectionId(snapshot::kShardRngBase, s),
-                      rng);
-  }
-
-  snapshot::SectionWriter metrics;
-  LSWC_RETURN_IF_ERROR(metrics_.Save(&metrics));
-  writer.AddSection(snapshot::SectionId::kMetrics, metrics);
-
-  if (rng_ != nullptr) {
-    snapshot::SectionWriter rng;
-    for (uint64_t word : rng_->state()) rng.U64(word);
-    writer.AddSection(snapshot::SectionId::kRng, rng);
-  }
-
-  return writer.WriteFile(path, bytes_written);
-}
-
-Status ShardedCrawlEngine::ResumeFromSnapshot(const std::string& path) {
-  StatusOr<snapshot::SnapshotReader> file =
-      snapshot::SnapshotReader::Open(path);
-  LSWC_RETURN_IF_ERROR(file.status());
-
-  // Fingerprint first — a shard-count mismatch is rejected here, before
-  // any state is touched (num_shards is part of the fingerprint).
-  {
-    StatusOr<snapshot::SectionReader> section =
-        file->Section(snapshot::SectionId::kFingerprint);
-    LSWC_RETURN_IF_ERROR(section.status());
-    StatusOr<snapshot::CrawlFingerprint> fp =
-        snapshot::CrawlFingerprint::Load(&*section);
-    LSWC_RETURN_IF_ERROR(fp.status());
-    LSWC_RETURN_IF_ERROR(section->Finish());
-    LSWC_RETURN_IF_ERROR(Fingerprint().Match(*fp));
-  }
-  {
-    StatusOr<snapshot::SectionReader> section =
-        file->Section(snapshot::SectionId::kEngine);
-    LSWC_RETURN_IF_ERROR(section.status());
-    pages_crawled_ = section->U64();
-    LSWC_RETURN_IF_ERROR(section->Finish());
-  }
-  {
-    StatusOr<snapshot::SectionReader> section =
-        file->Section(snapshot::SectionId::kShardMeta);
-    LSWC_RETURN_IF_ERROR(section.status());
-    const uint64_t saved_shards = section->U64();
-    next_seq_ = section->U64();
-    global_size_ = section->U64();
-    global_max_size_ = section->U64();
-    if (batch_mode_) {
-      const std::vector<uint32_t> queued = section->U32Vec();
-      LSWC_RETURN_IF_ERROR(section->status());
-      batch_queue_.clear();
-      in_batch_.clear();
-      for (const uint32_t url : queued) {
-        if (!in_batch_.insert(url).second) {
-          return Status::Corruption(
-              "sharded batch queue snapshot repeats a URL");
-        }
-        batch_queue_.push_back(url);
-      }
-    }
-    LSWC_RETURN_IF_ERROR(section->Finish());
-    if (saved_shards != router_.num_shards()) {
-      return Status::Corruption(
-          "shard meta claims " + std::to_string(saved_shards) +
-          " shards but the fingerprint matched " +
-          std::to_string(router_.num_shards()));
-    }
-  }
-  uint64_t restored_pending = 0;
-  for (uint32_t s = 0; s < router_.num_shards(); ++s) {
-    {
-      StatusOr<snapshot::SectionReader> section = file->Section(
-          snapshot::ShardSectionId(snapshot::kShardFrontierBase, s));
-      LSWC_RETURN_IF_ERROR(section.status());
-      if (batch_mode_) {
-        LSWC_RETURN_IF_ERROR(shards_[s]->batch_frontier->Restore(&*section));
-        restored_pending += shards_[s]->batch_frontier->size();
-      } else {
-        LSWC_RETURN_IF_ERROR(shards_[s]->frontier->Restore(&*section));
-        restored_pending += shards_[s]->frontier->size();
-      }
-      LSWC_RETURN_IF_ERROR(section->Finish());
-    }
-    {
-      StatusOr<snapshot::SectionReader> section = file->Section(
-          snapshot::ShardSectionId(snapshot::kShardStateBase, s));
-      LSWC_RETURN_IF_ERROR(section.status());
-      LSWC_RETURN_IF_ERROR(shards_[s]->state.Restore(&*section));
-      LSWC_RETURN_IF_ERROR(section->Finish());
-    }
-    {
-      StatusOr<snapshot::SectionReader> section = file->Section(
-          snapshot::ShardSectionId(snapshot::kShardRngBase, s));
-      LSWC_RETURN_IF_ERROR(section.status());
-      std::array<uint64_t, 4> state;
-      for (uint64_t& word : state) word = section->U64();
-      LSWC_RETURN_IF_ERROR(section->Finish());
-      shards_[s]->rng.set_state(state);
-    }
-  }
-  // In batch mode the global size also covers the in-flight batch queue.
-  restored_pending += batch_queue_.size();
-  if (restored_pending != global_size_) {
-    return Status::Corruption(
-        "shard frontiers hold " + std::to_string(restored_pending) +
-        " pending URLs but shard meta recorded " +
-        std::to_string(global_size_));
-  }
-  {
-    StatusOr<snapshot::SectionReader> section =
-        file->Section(snapshot::SectionId::kMetrics);
-    LSWC_RETURN_IF_ERROR(section.status());
-    LSWC_RETURN_IF_ERROR(metrics_.Restore(&*section));
-    LSWC_RETURN_IF_ERROR(section->Finish());
-  }
-  if (rng_ != nullptr && file->HasSection(snapshot::SectionId::kRng)) {
-    StatusOr<snapshot::SectionReader> section =
-        file->Section(snapshot::SectionId::kRng);
-    LSWC_RETURN_IF_ERROR(section.status());
-    std::array<uint64_t, 4> state;
-    for (uint64_t& word : state) word = section->U64();
-    LSWC_RETURN_IF_ERROR(section->Finish());
-    rng_->set_state(state);
-  }
-  resumed_ = true;
-  return Status::OK();
+void ShardedCrawlEngine::set_visit_start_hook(
+    std::function<void(uint32_t, uint32_t)> hook) {
+  planner_->set_visit_start_hook(std::move(hook));
 }
 
 }  // namespace lswc

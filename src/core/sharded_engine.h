@@ -1,78 +1,55 @@
 #ifndef LSWC_CORE_SHARDED_ENGINE_H_
 #define LSWC_CORE_SHARDED_ENGINE_H_
 
-// The host-partitioned sharded crawl engine. A crawl advances in batched
-// rounds of three phases:
+// The host-partitioned sharded crawl engine: the one CrawlEngine loop
+// with two sharded plug-ins, everything else unchanged.
 //
-//   1. Plan (serial): virtually walk the global pop order — the
-//      deterministic merge over all shard frontiers on (priority level
-//      desc, push sequence asc) — and pick the next `batch` not-yet-
-//      visited URLs, reserving a result slot for each.
-//   2. Visit (parallel): one util::ThreadPool task per shard performs
-//      the expensive, state-free work — fetch, classify, extract — for
-//      its planned URLs, each shard on its own web-space view,
-//      classifier clone, visitor, and obs bundle.
-//   3. Commit (serial): replay the *exact* serial crawl loop — merge-pop
-//      the globally best entry, skip stale re-pushes, consume the
-//      speculative visit (or visit inline on a miss), run the strategy's
-//      per-link decisions, route each accepted link to its owning
-//      shard's frontier with the next global push sequence, and fire
-//      metrics / observers / sampling — until the round's budget is
-//      spent.
+//  - The scheduler (the engine's FrontierScheduler) holds one frontier
+//    slice per shard. A push goes to the slice of the URL's owning shard
+//    with the next global push sequence; Next recovers the serial pop
+//    order by merging the slice heads on (priority level desc, sequence
+//    asc). In the batch regime each slice is a BatchFrontier pending
+//    set, a rescore ranks every slice in parallel and merges the
+//    per-shard top-K lists on (score desc, sequence asc), and Next pops
+//    the selected batch.
+//  - The visit planner (the engine's VisitPlanner) owns each shard's
+//    web-space view, classifier clone, visitor and obs bundle. At every
+//    round boundary it walks the upcoming pop order without popping,
+//    visits the round's URLs in parallel (one util::ThreadPool task per
+//    shard) into a cache, and hands each committed URL its cached visit
+//    — or visits it inline on the owning shard when a fresher push
+//    overtook the plan.
 //
-// Because every state mutation happens in the serial commit loop, and
-// the pop order recovered by the merge is a function of the global
-// frontier contents only, the outputs (series, summary, snapshot
-// payloads, obs call counts) are bit-identical for every shard count,
-// and equal to the serial CrawlEngine's. The plan set is likewise a
-// function of global state, so speculative work is partition-invariant
-// too. See docs/ARCHITECTURE.md "Sharded crawl pipeline".
-//
-// Batch regime (frontier kind "batch"): each shard holds a BatchFrontier
-// pending slice, and a round becomes rescore -> visit -> commit. The
-// rescore phase runs each shard's TopCandidates in parallel (pure reads
-// of shard-local state), then serially merges the per-shard top-K lists
-// into the global top `batch_k` on (score desc, global sequence asc) —
-// the same total order the serial BatchFrontier applies — removes the
-// winners from their shards' pending slices, and queues them as the
-// round's batch. Selection is a pure function of the global pending set,
-// so the batch (and everything downstream) is bit-identical for every
-// shard count and equal to the serial batch engine's.
+// Every state mutation happens in the engine's serial loop, and both the
+// pop order and the plan are functions of the global frontier contents
+// only, so the outputs (series, summary, snapshot payloads, journal, obs
+// call counts) are bit-identical for every shard count and equal to the
+// serial engine's. See docs/ARCHITECTURE.md "Sharded crawl pipeline".
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/classifier.h"
+#include "core/crawl_engine.h"
 #include "core/crawl_observer.h"
-#include "core/crawl_state.h"
 #include "core/frontier_factory.h"
 #include "core/metrics.h"
 #include "core/shard.h"
 #include "core/strategy.h"
 #include "core/virtual_web.h"
-#include "core/visitor.h"
 #include "obs/obs_fwd.h"
-#include "snapshot/fingerprint.h"
-#include "util/random.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
-#include "webgraph/link_db.h"
 
 namespace lswc {
 
-/// Knobs of the sharded engine (the sharded analogue of
-/// CrawlEngineOptions).
-struct ShardedEngineOptions {
+/// Knobs of the sharded engine: the crawl loop's own plus the two that
+/// are really sharded.
+struct ShardedEngineOptions : CrawlEngineOptions {
   /// Number of shards (>= 1). One shard is the degenerate baseline every
   /// N-shard run must match bit-for-bit.
   uint32_t num_shards = 1;
@@ -81,76 +58,51 @@ struct ShardedEngineOptions {
   /// global frontier state only, so that runs with different shard
   /// counts perform identical visit work.
   uint32_t batch_size = 0;
-  uint64_t max_pages = 0;
-  uint64_t sample_interval = 0;
-  bool parse_html = false;
-  /// Per-run observability bundle (not owned; may be null). The engine
-  /// creates one child bundle per shard and merges them back after Run.
-  obs::RunObs* obs = nullptr;
-  /// Decision journal sink (not owned; null = no journaling). Every
-  /// journaled decision fires from the serial plan/commit phases, so the
-  /// record stream is bit-identical for every shard count and equal to
-  /// the serial engine's.
-  obs::JournalWriter* journal = nullptr;
-  /// Batch-regime identity for the snapshot fingerprint. Create()
-  /// overwrites both with the values resolved from the frontier options
-  /// when the batch regime is selected, so callers may leave them unset.
-  uint64_t batch_k = 0;
-  std::string scorer_spec;
-  /// Out-of-core identity for the snapshot fingerprint (see
-  /// CrawlEngineOptions).
-  std::string dataset_file;
-  uint64_t memory_budget_mb = 0;
 };
+
+class ShardedScheduler;
+class ShardVisitPlanner;
 
 class ShardedCrawlEngine final : public Checkpointable {
  public:
   /// Builds the engine: the host -> shard router, per-shard frontier
   /// slices (MakeShardFrontiers — fails for bounded/spilling frontier
-  /// options), crawl-state slices, web-space views, classifier clones
-  /// (or a mutex-shared classifier when Clone() returns null), and
+  /// options — or MakeBatchFrontiers), web-space views, classifier
+  /// clones (or a mutex-shared classifier when Clone() returns null), and
   /// per-shard obs bundles. `web`, `classifier`, `strategy` are not
   /// owned and must outlive the engine.
   static StatusOr<std::unique_ptr<ShardedCrawlEngine>> Create(
       VirtualWebSpace* web, Classifier* classifier,
       const CrawlStrategy* strategy, const FrontierOptions& frontier_options,
       ShardedEngineOptions options);
+  ~ShardedCrawlEngine() override;
 
-  /// Attaches an observer (not owned). Callbacks fire in attach order,
-  /// always from the serial commit loop.
-  void AddObserver(CrawlObserver* observer);
+  /// The crawl loop the shards plug into. Drivers attach observers and
+  /// the RNG, resume and run through it; the methods below forward.
+  CrawlEngine& engine() { return *engine_; }
 
-  /// Registers the run's RNG stream (not owned) so snapshots capture and
-  /// restore it — same contract as CrawlEngine::AttachRng.
-  void AttachRng(Rng* rng) { rng_ = rng; }
-
-  /// Seeds the shard frontiers (unless resumed) and runs the crawl in
-  /// batched rounds to completion.
-  Status Run();
-
-  /// Checkpointable: writes fingerprint (with shard count), global
-  /// counters, per-shard frontier / crawl-state / RNG sections, and the
-  /// metrics series. Speculative visits not yet committed are *not*
-  /// saved — a resumed run re-plans them, with identical output.
+  void AddObserver(CrawlObserver* observer) { engine_->AddObserver(observer); }
+  Status Run() { return engine_->Run(); }
+  Status ResumeFromSnapshot(const std::string& path) {
+    return engine_->ResumeFromSnapshot(path);
+  }
   Status SaveSnapshot(const std::string& path,
-                      uint64_t* bytes_written = nullptr) const override;
+                      uint64_t* bytes_written = nullptr) const override {
+    return engine_->SaveSnapshot(path, bytes_written);
+  }
+  const MetricsRecorder& metrics() const { return engine_->metrics(); }
+  uint64_t pages_crawled() const override { return engine_->pages_crawled(); }
+  uint64_t sample_interval() const override {
+    return engine_->sample_interval();
+  }
 
-  /// Restores a SaveSnapshot() written under the same configuration,
-  /// including the same shard count: resuming under a different
-  /// `num_shards` is rejected (fingerprint mismatch naming num_shards).
-  Status ResumeFromSnapshot(const std::string& path);
-
-  const MetricsRecorder& metrics() const { return metrics_; }
-  uint64_t pages_crawled() const override { return pages_crawled_; }
-  uint64_t sample_interval() const override { return sample_interval_; }
   /// Peak global frontier size (the paper's max queue-size metric).
-  uint64_t max_frontier_size() const { return global_max_size_; }
-  uint32_t num_shards() const { return router_.num_shards(); }
+  uint64_t max_frontier_size() const;
 
   /// Appends one entry per shard with its current pending-slice size,
   /// for the merged cross-shard telemetry snapshot. Reads shard
-  /// frontiers without locks: call only from the serial commit loop
-  /// (where the TelemetryPublisher's OnFetch fires) or after Run.
+  /// frontiers without locks: call only from the crawl loop (where the
+  /// TelemetryPublisher's OnFetch fires) or after Run.
   void AppendShardStates(std::vector<obs::ShardState>* out) const;
 
   /// Test hook: called by each shard's worker task at the start of its
@@ -158,124 +110,23 @@ class ShardedCrawlEngine final : public Checkpointable {
   /// submitted this round. The merge-determinism stress test uses it as
   /// a barrier that releases shards in randomized order.
   void set_visit_start_hook(
-      std::function<void(uint32_t shard, uint32_t tasks_in_round)> hook) {
-    visit_start_hook_ = std::move(hook);
-  }
+      std::function<void(uint32_t shard, uint32_t tasks_in_round)> hook);
 
  private:
-  /// One shard's isolated bundle. Everything a parallel visit touches is
-  /// per-shard (or immutable); all cross-shard state is serial-only.
-  struct Shard {
-    Shard(size_t local_pages, uint64_t rng_seed)
-        : state(local_pages), rng(rng_seed) {}
+  /// Exactly one of the slice vectors is non-empty, matching the
+  /// regime: pop-order or batch.
+  ShardedCrawlEngine(
+      VirtualWebSpace* web, Classifier* classifier,
+      const CrawlStrategy* strategy,
+      std::vector<std::unique_ptr<ShardFrontier>> pop_slices,
+      std::vector<std::unique_ptr<BatchFrontier>> batch_slices,
+      const ShardedEngineOptions& options);
 
-    std::unique_ptr<InMemoryLinkDb> link_db;
-    std::unique_ptr<VirtualWebSpace> web;
-    std::unique_ptr<Classifier> classifier;  // Clone or locked wrapper.
-    std::unique_ptr<Visitor> visitor;
-    /// Exactly one of the two frontier slices is set, matching the
-    /// regime: pop-order (`frontier`) or batch (`batch_frontier`).
-    std::unique_ptr<ShardFrontier> frontier;
-    std::unique_ptr<BatchFrontier> batch_frontier;
-    CrawlState state;  // Slice over this shard's pages (local ids).
-    Rng rng;           // Per-shard stream, snapshotted with the shard.
-    std::unique_ptr<obs::RunObs> obs;  // Child bundle; null when obs off.
-  };
-
-  /// A speculative visit result, keyed by URL in `cache_`.
-  struct CacheEntry {
-    Status status = Status::OK();
-    VisitResult visit;
-  };
-
-  ShardedCrawlEngine(VirtualWebSpace* web, Classifier* classifier,
-                     const CrawlStrategy* strategy,
-                     ShardedEngineOptions options);
-
-  uint32_t owner(PageId url) const { return router_.owner(url); }
-  uint32_t local(PageId url) const { return local_id_[url]; }
-  bool crawled(PageId url) const {
-    return shards_[owner(url)]->state.crawled(local(url));
-  }
-
-  /// Phase 1: virtually pop the global order to pick up to
-  /// `visit_budget` uncrawled, uncached URLs; reserves a cache slot for
-  /// each and appends it to its owning shard's plan.
-  void PlanRound(uint64_t visit_budget,
-                 std::vector<std::vector<std::pair<PageId, CacheEntry*>>>*
-                     plans);
-
-  /// Phase 3: the serial crawl loop, at most `commit_budget` crawled
-  /// pages. Sets `*exhausted` when the global frontier ran dry.
-  Status CommitRound(uint64_t commit_budget, bool* exhausted);
-
-  /// One committed page: the sharded mirror of CrawlEngine::CrawlOne.
-  Status CommitOne(PageId url, CacheEntry entry);
-
-  /// Batch regime: rescores every shard's pending slice in parallel,
-  /// merges the per-shard top-K lists into the global top `select_k_`,
-  /// and moves the winners into `batch_queue_`.
-  void RescoreRound();
-
-  /// Batch regime's commit phase: pops `budget` URLs off the batch
-  /// queue through CommitOne (every queued URL is uncrawled by the
-  /// batch invariant, so there is no stale-skip path).
-  Status CommitBatchRound(uint64_t budget);
-
-  void PushFrontier(PageId url, int priority, const PushContext& context);
-  void NotifySample(bool is_final);
-  snapshot::CrawlFingerprint Fingerprint() const;
-  std::string SchedulerKind() const;
-
-  /// Folds the per-shard obs bundles (visit-side stage counts, shard
-  /// trace sinks) back into the parent bundle. Called once after Run.
-  void MergeShardObs();
-
-  VirtualWebSpace* web_;
-  const CrawlStrategy* strategy_;
-  ShardedEngineOptions options_;
   ShardRouter router_;
-  std::vector<uint32_t> local_id_;  // Global page id -> id within shard.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Set when the classifier could not be cloned: every shard's locked
-  /// wrapper serializes Judge() calls through this mutex.
-  std::unique_ptr<std::mutex> classifier_mu_;
-  uint64_t sample_interval_;
-  uint64_t batch_size_;
-  MetricsRecorder metrics_;
-  std::string classifier_name_;
-  Rng* rng_ = nullptr;
-  bool resumed_ = false;
-  bool obs_merged_ = false;
-  uint64_t pages_crawled_ = 0;
-  obs::JournalWriter* journal_ = nullptr;
-  uint64_t next_seq_ = 0;         // Global push sequence counter.
-  uint64_t global_size_ = 0;      // Pending across shards (+ batch queue).
-  uint64_t global_max_size_ = 0;  // Peak of global_size_, updated on push.
-  /// Batch regime state: the current globally selected batch, in
-  /// selection order, plus its membership set (pushes for queued URLs
-  /// are ignored, mirroring the serial BatchFrontier).
-  bool batch_mode_ = false;
-  uint32_t select_k_ = 0;
-  std::deque<PageId> batch_queue_;
-  std::unordered_set<PageId> in_batch_;
-  std::unordered_map<PageId, CacheEntry> cache_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::function<void(uint32_t, uint32_t)> visit_start_hook_;
-  /// Parent-side obs handles (commit-loop stages and counters); all null
-  /// when the run has no enabled bundle.
-  obs::StageProfiler* profiler_ = nullptr;
-  obs::Histogram* frontier_depth_ = nullptr;
-  obs::Histogram* push_level_ = nullptr;
-  obs::Counter* pushes_ = nullptr;
-  obs::Counter* repushes_ = nullptr;
-  obs::Counter* link_drops_ = nullptr;
-  /// Batch-regime parent counters (the per-shard registries carry
-  /// frontier.scored_urls, incremented inside TopCandidates).
-  obs::Counter* rescore_rounds_ = nullptr;
-  obs::Counter* selected_urls_ = nullptr;
-  std::vector<CrawlObserver*> observers_;
-  std::vector<CrawlObserver*> link_observers_;
+  ThreadPool pool_;
+  std::unique_ptr<ShardedScheduler> scheduler_;
+  std::unique_ptr<ShardVisitPlanner> planner_;
+  std::unique_ptr<CrawlEngine> engine_;
 };
 
 }  // namespace lswc

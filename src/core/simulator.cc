@@ -1,46 +1,14 @@
 #include "core/simulator.h"
 
-#include <memory>
-
-#include "core/checkpoint.h"
 #include "core/crawl_engine.h"
 #include "core/frontier_factory.h"
-#include "core/obs_observers.h"
 #include "core/sharded_engine.h"
-#include "core/telemetry_publisher.h"
 #include "obs/run_obs.h"
 #include "store/memory_budget.h"
 
 namespace lswc {
 
 namespace {
-
-/// The display label for telemetry snapshots and the progress line.
-std::string ResolveRunLabel(const SimulationOptions& options) {
-  if (!options.run_label.empty()) return options.run_label;
-  if (!options.snapshot_label.empty()) return options.snapshot_label;
-  return "crawl";
-}
-
-/// Builds the run's TelemetryPublisher when either consumer wants it:
-/// a telemetry context (live endpoint / watchdog / flight recorder) or
-/// a --progress-every stderr line (which needs an enabled obs bundle,
-/// matching the old ProgressObserver gate).
-std::unique_ptr<TelemetryPublisher> MakePublisher(
-    const SimulationOptions& options, obs::RunObs* obs,
-    const MetricsRecorder* metrics,
-    std::function<void(std::vector<obs::ShardState>*)> shard_pending) {
-  const bool progress = obs != nullptr && options.progress_every != 0;
-  if (options.telemetry == nullptr && !progress) return nullptr;
-  TelemetryPublisher::Options pub;
-  pub.telemetry = options.telemetry;
-  pub.run_label = ResolveRunLabel(options);
-  pub.metrics = metrics;
-  pub.obs = obs;
-  pub.progress_every = progress ? options.progress_every : 0;
-  pub.shard_pending = std::move(shard_pending);
-  return std::make_unique<TelemetryPublisher>(std::move(pub));
-}
 
 /// Applies a global memory budget to the frontier knobs: under a budget
 /// the spilling frontier becomes the default, sized to the plan's
@@ -58,21 +26,18 @@ void ApplyMemoryBudget(const SimulationOptions& options,
   frontier->memory_budget = plan.frontier_urls;
 }
 
-/// The resolved batch identity of a run: (0, "") outside the batch
-/// regime, otherwise the defaults filled in. Recorded in the snapshot
-/// fingerprint, so defaults must resolve to one canonical form here.
-struct BatchIdentity {
-  uint64_t batch_k = 0;
-  std::string scorer_spec;
-};
-
-BatchIdentity ResolveBatchIdentity(const SimulationOptions& options) {
-  BatchIdentity id;
-  if (options.frontier_kind != "batch") return id;
-  id.batch_k = options.batch_k == 0 ? kDefaultBatchK : options.batch_k;
-  id.scorer_spec =
-      options.scorers.empty() ? kDefaultScorerSpec : options.scorers;
-  return id;
+SimulationResult MakeResult(const MetricsRecorder& metrics,
+                            size_t max_queue_size, uint64_t urls_dropped) {
+  SimulationResult result{SimulationSummary{}, metrics.series()};
+  result.summary.pages_crawled = metrics.pages_crawled();
+  result.summary.ok_pages_crawled = metrics.confusion().total();
+  result.summary.relevant_crawled = metrics.relevant_crawled();
+  result.summary.max_queue_size = max_queue_size;
+  result.summary.urls_dropped = urls_dropped;
+  result.summary.final_harvest_pct = metrics.harvest_pct();
+  result.summary.final_coverage_pct = metrics.coverage_pct();
+  result.summary.classifier_confusion = metrics.confusion();
+  return result;
 }
 
 }  // namespace
@@ -86,8 +51,6 @@ Simulator::Simulator(VirtualWebSpace* web, Classifier* classifier,
       options_(options) {}
 
 StatusOr<SimulationResult> Simulator::Run() {
-  if (options_.shards >= 1) return RunSharded();
-  const BatchIdentity batch = ResolveBatchIdentity(options_);
   FrontierOptions frontier_options;
   frontier_options.kind = options_.frontier_kind;
   frontier_options.capacity = options_.frontier_capacity;
@@ -98,176 +61,61 @@ StatusOr<SimulationResult> Simulator::Run() {
   frontier_options.scorer_seed = web_->graph().generator_seed();
   frontier_options.graph = &web_->graph();
   ApplyMemoryBudget(options_, &frontier_options);
-  auto selection = MakeFrontier(*strategy_, frontier_options);
-  if (!selection.ok()) return selection.status();
-  FrontierPopScheduler scheduler(selection->frontier.get());
 
-  obs::RunObs* obs =
-      options_.obs != nullptr && options_.obs->enabled ? options_.obs
-                                                       : nullptr;
-  CrawlEngineOptions engine_options;
+  obs::RunObs* obs = options_.enabled_obs();
+  ShardedEngineOptions engine_options;
   engine_options.max_pages = options_.max_pages;
   engine_options.sample_interval = options_.sample_interval;
   engine_options.parse_html = options_.parse_html;
   engine_options.obs = obs;
   engine_options.journal = options_.journal;
-  engine_options.batch_k = batch.batch_k;
-  engine_options.scorer_spec = batch.scorer_spec;
+  // The resolved batch identity, recorded in the snapshot fingerprint:
+  // (0, "") outside the batch regime, otherwise the defaults filled in.
+  if (options_.frontier_kind == "batch") {
+    engine_options.batch_k =
+        options_.batch_k == 0 ? kDefaultBatchK : options_.batch_k;
+    engine_options.scorer_spec =
+        options_.scorers.empty() ? kDefaultScorerSpec : options_.scorers;
+  }
   engine_options.dataset_file = options_.dataset_file;
   engine_options.memory_budget_mb = options_.memory_budget_mb;
+  engine_options.num_shards = options_.shards;
+  engine_options.batch_size = options_.shard_batch;
+
+  if (options_.shards >= 1) {
+    auto created = ShardedCrawlEngine::Create(web_, classifier_, strategy_,
+                                              frontier_options, engine_options);
+    if (!created.ok()) return created.status();
+    ShardedCrawlEngine& sharded = **created;
+    sharded.engine().AttachRng(options_.rng);
+    LSWC_RETURN_IF_ERROR(RunEngine(
+        &sharded.engine(), options_, "crawl",
+        [&sharded](std::vector<obs::ShardState>* out) {
+          sharded.AppendShardStates(out);
+        }));
+    return MakeResult(sharded.metrics(), sharded.max_frontier_size(), 0);
+  }
+
+  auto selection = MakeFrontier(*strategy_, frontier_options);
+  if (!selection.ok()) return selection.status();
+  FrontierPopScheduler scheduler(selection->frontier.get());
   CrawlEngine engine(web_, classifier_, strategy_, &scheduler,
                      engine_options);
-  if (options_.rng != nullptr) engine.AttachRng(options_.rng);
-  if (selection->batch != nullptr && options_.journal != nullptr) {
+  engine.AttachRng(options_.rng);
+  if (selection->batch != nullptr) {
     selection->batch->set_journal(options_.journal);
   }
-  std::unique_ptr<TraceEventObserver> trace_events;
   if (obs != nullptr) {
     selection->frontier->AttachObs(&obs->registry, obs->trace.get());
     if (selection->batch != nullptr) {
       selection->batch->set_profiler(&obs->profiler);
     }
-    if (obs->trace != nullptr) {
-      trace_events = std::make_unique<TraceEventObserver>(obs->trace.get());
-      engine.AddObserver(trace_events.get());
-    }
   }
-  std::unique_ptr<TelemetryPublisher> publisher =
-      MakePublisher(options_, obs, &engine.metrics(), nullptr);
-  if (publisher != nullptr) engine.AddObserver(publisher.get());
-  for (CrawlObserver* observer : options_.observers) {
-    engine.AddObserver(observer);
-  }
-  // Checkpointing attaches last so every other observer's contribution
-  // to the run state (metrics above all) is recorded before the save.
-  std::unique_ptr<CheckpointObserver> checkpoint;
-  if (options_.checkpoint_every_pages != 0) {
-    if (options_.snapshot_dir.empty()) {
-      return Status::InvalidArgument(
-          "checkpoint_every_pages requires snapshot_dir");
-    }
-    const std::string label = SanitizeSnapshotLabel(
-        options_.snapshot_label.empty() ? "crawl" : options_.snapshot_label);
-    checkpoint = std::make_unique<CheckpointObserver>(
-        &engine, options_.checkpoint_every_pages,
-        options_.snapshot_dir + "/" + label + ".snap");
-    checkpoint->AttachObs(obs);
-    engine.AddObserver(checkpoint.get());
-  }
-  if (!options_.resume_path.empty()) {
-    LSWC_RETURN_IF_ERROR(engine.ResumeFromSnapshot(options_.resume_path));
-  }
-  LSWC_RETURN_IF_ERROR(engine.Run());
-  if (publisher != nullptr) publisher->PublishFinal();
-  if (checkpoint != nullptr) {
-    // A failed save never aborts the crawl mid-run; it surfaces here.
-    LSWC_RETURN_IF_ERROR(checkpoint->status());
-  }
-
-  const MetricsRecorder& metrics = engine.metrics();
-  SimulationResult result{
-      SimulationSummary{},
-      metrics.series(),
-  };
-  result.summary.pages_crawled = metrics.pages_crawled();
-  result.summary.ok_pages_crawled = metrics.confusion().total();
-  result.summary.relevant_crawled = metrics.relevant_crawled();
-  result.summary.max_queue_size = selection->frontier->max_size_seen();
-  if (selection->bounded != nullptr) {
-    result.summary.urls_dropped = selection->bounded->dropped_count();
-  }
-  result.summary.final_harvest_pct = metrics.harvest_pct();
-  result.summary.final_coverage_pct = metrics.coverage_pct();
-  result.summary.classifier_confusion = metrics.confusion();
-  return result;
-}
-
-StatusOr<SimulationResult> Simulator::RunSharded() {
-  const BatchIdentity batch = ResolveBatchIdentity(options_);
-  FrontierOptions frontier_options;
-  frontier_options.kind = options_.frontier_kind;
-  frontier_options.capacity = options_.frontier_capacity;
-  frontier_options.memory_budget = options_.frontier_memory_budget;
-  frontier_options.spill_dir = options_.spill_dir;
-  frontier_options.batch_k = options_.batch_k;
-  frontier_options.scorers = options_.scorers;
-  frontier_options.scorer_seed = web_->graph().generator_seed();
-  frontier_options.graph = &web_->graph();
-
-  obs::RunObs* obs =
-      options_.obs != nullptr && options_.obs->enabled ? options_.obs
-                                                       : nullptr;
-  ShardedEngineOptions engine_options;
-  engine_options.num_shards = options_.shards;
-  engine_options.batch_size = options_.shard_batch;
-  engine_options.max_pages = options_.max_pages;
-  engine_options.sample_interval = options_.sample_interval;
-  engine_options.parse_html = options_.parse_html;
-  engine_options.obs = obs;
-  engine_options.journal = options_.journal;
-  engine_options.batch_k = batch.batch_k;
-  engine_options.scorer_spec = batch.scorer_spec;
-  engine_options.dataset_file = options_.dataset_file;
-  engine_options.memory_budget_mb = options_.memory_budget_mb;
-  auto created = ShardedCrawlEngine::Create(web_, classifier_, strategy_,
-                                            frontier_options, engine_options);
-  if (!created.ok()) return created.status();
-  ShardedCrawlEngine& engine = **created;
-  if (options_.rng != nullptr) engine.AttachRng(options_.rng);
-  std::unique_ptr<TraceEventObserver> trace_events;
-  if (obs != nullptr) {
-    if (obs->trace != nullptr) {
-      trace_events = std::make_unique<TraceEventObserver>(obs->trace.get());
-      engine.AddObserver(trace_events.get());
-    }
-  }
-  // The publisher's OnFetch fires from the serial commit loop, so the
-  // shard-pending callback reads shard frontiers race-free.
-  std::unique_ptr<TelemetryPublisher> publisher = MakePublisher(
-      options_, obs, &engine.metrics(),
-      [&engine](std::vector<obs::ShardState>* out) {
-        engine.AppendShardStates(out);
-      });
-  if (publisher != nullptr) engine.AddObserver(publisher.get());
-  for (CrawlObserver* observer : options_.observers) {
-    engine.AddObserver(observer);
-  }
-  std::unique_ptr<CheckpointObserver> checkpoint;
-  if (options_.checkpoint_every_pages != 0) {
-    if (options_.snapshot_dir.empty()) {
-      return Status::InvalidArgument(
-          "checkpoint_every_pages requires snapshot_dir");
-    }
-    const std::string label = SanitizeSnapshotLabel(
-        options_.snapshot_label.empty() ? "crawl" : options_.snapshot_label);
-    checkpoint = std::make_unique<CheckpointObserver>(
-        &engine, options_.checkpoint_every_pages,
-        options_.snapshot_dir + "/" + label + ".snap");
-    checkpoint->AttachObs(obs);
-    engine.AddObserver(checkpoint.get());
-  }
-  if (!options_.resume_path.empty()) {
-    LSWC_RETURN_IF_ERROR(engine.ResumeFromSnapshot(options_.resume_path));
-  }
-  LSWC_RETURN_IF_ERROR(engine.Run());
-  if (publisher != nullptr) publisher->PublishFinal();
-  if (checkpoint != nullptr) {
-    LSWC_RETURN_IF_ERROR(checkpoint->status());
-  }
-
-  const MetricsRecorder& metrics = engine.metrics();
-  SimulationResult result{
-      SimulationSummary{},
-      metrics.series(),
-  };
-  result.summary.pages_crawled = metrics.pages_crawled();
-  result.summary.ok_pages_crawled = metrics.confusion().total();
-  result.summary.relevant_crawled = metrics.relevant_crawled();
-  result.summary.max_queue_size = engine.max_frontier_size();
-  result.summary.final_harvest_pct = metrics.harvest_pct();
-  result.summary.final_coverage_pct = metrics.coverage_pct();
-  result.summary.classifier_confusion = metrics.confusion();
-  return result;
+  LSWC_RETURN_IF_ERROR(RunEngine(&engine, options_, "crawl"));
+  return MakeResult(engine.metrics(), selection->frontier->max_size_seen(),
+                    selection->bounded != nullptr
+                        ? selection->bounded->dropped_count()
+                        : 0);
 }
 
 StatusOr<SimulationResult> RunSimulation(const WebGraph& graph,

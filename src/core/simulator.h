@@ -7,6 +7,7 @@
 
 #include "core/classifier.h"
 #include "core/crawl_observer.h"
+#include "core/driver.h"
 #include "core/frontier.h"
 #include "core/metrics.h"
 #include "core/strategy.h"
@@ -17,13 +18,9 @@
 
 namespace lswc {
 
-/// Knobs of one simulation run.
-struct SimulationOptions {
-  /// Stop after this many crawled URLs (0 = run until the frontier
-  /// empties, the paper's termination condition).
-  uint64_t max_pages = 0;
-  /// Metric sampling step in crawled pages (0 = auto: ~400 samples).
-  uint64_t sample_interval = 0;
+/// Knobs of one simulation run: the options every driver shares plus
+/// the frontier, sharding and engine knobs of the paper's simulator.
+struct SimulationOptions : DriverOptions {
   /// Extract links by parsing rendered HTML instead of replaying the
   /// link database (requires the web space to render kFull).
   bool parse_html = false;
@@ -78,50 +75,10 @@ struct SimulationOptions {
   /// Speculative visits planned per round in the sharded engine
   /// (0 = default 256). Ignored when `shards` is 0.
   uint32_t shard_batch = 0;
-  /// Additional crawl observers notified from the engine's event bus
-  /// (not owned; must outlive the run). The MetricsRecorder is always
-  /// attached first, so these may read it during their own callbacks.
-  std::vector<CrawlObserver*> observers;
-  /// Write a full-state snapshot every N crawled pages (0 = never).
-  /// Requires `snapshot_dir`; the snapshot is one rolling file
-  /// `<snapshot_dir>/<snapshot_label>.snap`, replaced atomically.
-  uint64_t checkpoint_every_pages = 0;
-  std::string snapshot_dir;
-  /// File stem for this run's snapshot ("crawl" when empty); sanitized
-  /// via SanitizeSnapshotLabel.
-  std::string snapshot_label;
-  /// Resume from this snapshot file instead of seeding (empty = fresh
-  /// run). The snapshot's fingerprint must match the run configuration.
-  std::string resume_path;
   /// The run's RNG stream (not owned; may be null). When set, snapshots
   /// capture it and a resume restores it, so strategies that draw
   /// randomness stay bit-deterministic across a resume.
   Rng* rng = nullptr;
-  /// Per-run observability bundle (not owned; may be null). When
-  /// enabled, the engine's stage probes and registry metrics are live,
-  /// the frontier exports its internals, and — if the bundle carries a
-  /// trace sink — bus events are mirrored into the trace.
-  obs::RunObs* obs = nullptr;
-  /// Print a progress line to stderr every N crawled pages (0 = never;
-  /// needs an enabled `obs` bundle). The line is rendered from the
-  /// published telemetry snapshot (obs::FormatProgressLine), so it can
-  /// never disagree with the live endpoint's progress document.
-  uint64_t progress_every = 0;
-  /// This run's slot on the live telemetry plane (not owned; may be
-  /// null). When set, a TelemetryPublisher is attached to the bus: it
-  /// publishes double-buffered snapshots to the context's board, bumps
-  /// the stall-watchdog heartbeat, and records flight-recorder events.
-  /// Strictly read-only over crawl state — series output is
-  /// bit-identical with telemetry on or off.
-  obs::TelemetryContext* telemetry = nullptr;
-  /// Display label for telemetry snapshots and the progress line
-  /// (falls back to snapshot_label, then "crawl").
-  std::string run_label;
-  /// Decision journal sink (not owned; may be null). When set, the
-  /// engine (serial or sharded — the record streams are bit-identical)
-  /// and the batch frontier emit one compact record per crawl decision.
-  /// The caller opens and finalizes the writer.
-  obs::JournalWriter* journal = nullptr;
 };
 
 /// Aggregate outcome of a run.
@@ -165,10 +122,6 @@ class Simulator {
   StatusOr<SimulationResult> Run();
 
  private:
-  /// The `options_.shards >= 1` path: same wiring as Run, on the
-  /// sharded engine.
-  StatusOr<SimulationResult> RunSharded();
-
   VirtualWebSpace* web_;
   Classifier* classifier_;
   const CrawlStrategy* strategy_;

@@ -28,7 +28,6 @@ const char* StageName(Stage stage) {
     case Stage::kFrontierPush: return "frontier-push";
     case Stage::kSample: return "sample";
     case Stage::kCheckpoint: return "checkpoint";
-    case Stage::kRoute: return "route";
     case Stage::kMerge: return "merge";
     case Stage::kRescore: return "rescore";
   }

@@ -46,11 +46,10 @@ enum class Stage : uint8_t {
   kFrontierPush,   // Scheduler/frontier pushes.
   kSample,         // Observer bus sampling points.
   kCheckpoint,     // Snapshot writes.
-  kRoute,          // Sharded engine: route a link to its owning shard.
   kMerge,          // Sharded engine: cross-shard deterministic merge-pop.
   kRescore,        // Batch regime: rescore pending set + top-K selection.
 };
-inline constexpr int kNumStages = 10;
+inline constexpr int kNumStages = 9;
 
 const char* StageName(Stage stage);
 

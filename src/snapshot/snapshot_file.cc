@@ -140,15 +140,8 @@ StatusOr<SnapshotReader> SnapshotReader::Open(const std::string& path) {
     if (payload_size > remaining) {
       return Status::Corruption("truncated section payload in " + path);
     }
-    bool known = false;
-    for (SectionId sid : {SectionId::kFingerprint, SectionId::kEngine,
-                          SectionId::kCrawlState, SectionId::kFrontier,
-                          SectionId::kMetrics, SectionId::kRng,
-                          SectionId::kShardMeta}) {
-      known |= static_cast<uint32_t>(sid) == id;
-    }
-    // Per-shard sections live in reserved ranges (see snapshot_file.h).
-    known |= id >= kShardFrontierBase && id < kShardRngBase + kMaxShards;
+    const bool known = id >= static_cast<uint32_t>(SectionId::kFingerprint) &&
+                       id <= static_cast<uint32_t>(SectionId::kRng);
     if (!known) {
       return Status::Corruption("unknown section id " + std::to_string(id) +
                                 " in " + path);

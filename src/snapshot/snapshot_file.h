@@ -50,22 +50,7 @@ enum class SectionId : uint32_t {
   kFrontier = 4,     // Scheduler + frontier contents.
   kMetrics = 5,      // MetricsRecorder counters and series rows so far.
   kRng = 6,          // xoshiro256** stream state (optional).
-  kShardMeta = 7,    // Sharded engine: shard count + push-sequence state.
 };
-
-/// Per-shard sections of the sharded engine occupy reserved id ranges:
-/// shard i's frontier is kShardFrontierBase + i, its crawl-state slice
-/// kShardStateBase + i, its RNG stream kShardRngBase + i. Each range
-/// holds up to kMaxShards shards.
-inline constexpr uint32_t kShardFrontierBase = 1000;
-inline constexpr uint32_t kShardStateBase = 2000;
-inline constexpr uint32_t kShardRngBase = 3000;
-inline constexpr uint32_t kMaxShards = 1000;
-
-/// SectionId for shard `i`'s section in the range starting at `base`.
-inline SectionId ShardSectionId(uint32_t base, uint32_t shard) {
-  return static_cast<SectionId>(base + shard);
-}
 
 class SnapshotWriter {
  public:

@@ -286,7 +286,7 @@ void NormalizeUrl(ParsedUrl* url) {
     url->port = -1;
   }
   url->path = NormalizeEscapes(RemoveDotSegments(url->path));
-  if (url->has_authority && url->path.empty()) url->path = "/";
+  if (url->has_authority && url->path.empty()) url->path += '/';
   if (url->has_query) url->query = NormalizeEscapes(url->query);
   url->has_fragment = false;
   url->fragment.clear();

@@ -20,6 +20,12 @@ struct SweepCase {
   double min_accuracy;
 };
 
+// Names the case in test listings (and so in the CTest test name);
+// without it gtest prints the raw bytes, uninitialised padding included.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << EncodingName(c.encoding) << ' ' << c.chars << " chars";
+}
+
 class DetectorSweepTest : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(DetectorSweepTest, LanguageAccuracyAtLength) {
@@ -68,6 +74,10 @@ struct ConfusionCase {
   Encoding encoding;
   int chars;
 };
+
+void PrintTo(const ConfusionCase& c, std::ostream* os) {
+  *os << EncodingName(c.encoding) << ' ' << c.chars << " chars";
+}
 
 class DetectorConfusionTest
     : public ::testing::TestWithParam<ConfusionCase> {};

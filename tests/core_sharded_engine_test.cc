@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -189,6 +191,69 @@ TEST(ShardedEngineTest, ObsStatsIdenticalAcrossShardCounts) {
   EXPECT_EQ(r1->summary.max_queue_size, r3->summary.max_queue_size);
   EXPECT_EQ(HashSeries(r1->series), HashSeries(r3->series));
   EXPECT_EQ(stats1, stats3);
+}
+
+// Counts Judge() calls across the original and every clone the sharded
+// engine makes, split by thread: speculative visits run on the pool's
+// workers, inline visits (a speculation miss) on the thread that runs
+// the crawl loop.
+struct JudgeCounts {
+  std::thread::id loop_thread = std::this_thread::get_id();
+  std::atomic<uint64_t> speculative{0};
+  std::atomic<uint64_t> inline_visits{0};
+};
+
+class CountingClassifier final : public Classifier {
+ public:
+  CountingClassifier(Language target, JudgeCounts* counts)
+      : inner_(target), counts_(counts) {}
+  RelevanceJudgment Judge(const FetchResponse& response) override {
+    (std::this_thread::get_id() == counts_->loop_thread
+         ? counts_->inline_visits
+         : counts_->speculative)
+        .fetch_add(1, std::memory_order_relaxed);
+    return inner_.Judge(response);
+  }
+  Language target_language() const override {
+    return inner_.target_language();
+  }
+  std::string name() const override { return inner_.name(); }
+  std::unique_ptr<Classifier> Clone() const override {
+    return std::make_unique<CountingClassifier>(inner_.target_language(),
+                                                counts_);
+  }
+
+ private:
+  MetaTagClassifier inner_;
+  JudgeCounts* counts_;
+};
+
+// The sharded engine's visit work: speculative visits planned per round
+// and inline visits on a speculation miss. The counts pin the round
+// structure (when a round starts, what it plans, what it commits), which
+// no output hash sees but which sets the parallel engine's CPU time.
+TEST(ShardedEngineTest, VisitWorkIsPinned) {
+  auto g = GenerateWebGraph(ThaiLikeOptions(3000, /*seed=*/11));
+  ASSERT_TRUE(g.ok()) << g.status();
+  const SoftFocusedStrategy soft;
+  struct Expected {
+    uint32_t shards;
+    uint64_t speculative;
+    uint64_t inline_visits;
+  };
+  for (const Expected& expected :
+       {Expected{1, 2493, 507}, Expected{4, 2493, 507}}) {
+    JudgeCounts counts;
+    CountingClassifier classifier(kThai, &counts);
+    SimulationOptions options;
+    options.shards = expected.shards;
+    auto r = RunSimulation(*g, &classifier, soft, RenderMode::kNone, options);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(counts.speculative.load(), expected.speculative)
+        << "shards=" << expected.shards;
+    EXPECT_EQ(counts.inline_visits.load(), expected.inline_visits)
+        << "shards=" << expected.shards;
+  }
 }
 
 // A classifier that cannot Clone() falls back to one shared instance

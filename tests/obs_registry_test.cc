@@ -95,7 +95,9 @@ TEST(MetricsRegistryTest, SameNameReturnsSameHandle) {
   EXPECT_FALSE(registry.empty());
   // Handle addresses survive many further registrations.
   for (int i = 0; i < 200; ++i) {
-    registry.counter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.counter(name);
   }
   EXPECT_EQ(registry.counter("crawl.pushes"), c1);
 }

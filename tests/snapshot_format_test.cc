@@ -148,6 +148,30 @@ TEST(SnapshotFileTest, MissingSectionIsCorruption) {
   std::remove(path.c_str());
 }
 
+// Sharded snapshots once carried a shard-meta section (7) and per-shard
+// frontier / crawl-state / RNG sections at 1000+s, 2000+s and 3000+s.
+// The sharded frontier now lives in kFrontier, so a snapshot written in
+// the old layout must be refused at open, before any state is restored.
+TEST(SnapshotFileTest, OpenRejectsRetiredShardSectionIds) {
+  for (const uint32_t id : {7u, 1000u, 2000u, 3000u}) {
+    SnapshotWriter writer;
+    SectionWriter payload;
+    payload.U64(1);
+    writer.AddSection(SectionId::kEngine, payload);
+    writer.AddSection(static_cast<SectionId>(id), payload);
+    const std::string path = TempPath("retired_section.snap");
+    ASSERT_TRUE(writer.WriteFile(path).ok());
+    const auto reader = SnapshotReader::Open(path);
+    EXPECT_FALSE(reader.ok()) << "id " << id;
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption) << "id " << id;
+    std::string named = "section id ";
+    named += std::to_string(id);
+    EXPECT_NE(reader.status().message().find(named), std::string::npos)
+        << reader.status();
+    std::remove(path.c_str());
+  }
+}
+
 TEST(SnapshotFileTest, OpenRejectsMissingFile) {
   const auto reader = SnapshotReader::Open(TempPath("does_not_exist.snap"));
   EXPECT_FALSE(reader.ok());

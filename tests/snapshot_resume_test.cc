@@ -283,10 +283,10 @@ TEST(SnapshotResumeTest, FingerprintRejectsMismatchedConfig) {
 }
 
 TEST(SnapshotResumeTest, ShardedSplitRunIsBitIdentical) {
-  // The sharded engine's checkpoint saves per-shard frontier / state /
-  // RNG sections; a resumed sharded run must match the straight sharded
-  // run exactly — which the characterization tests in turn pin to the
-  // serial engine's numbers.
+  // The sharded engine's checkpoint saves every shard's frontier slice
+  // in its frontier section; a resumed sharded run must match the
+  // straight sharded run exactly — which the characterization tests in
+  // turn pin to the serial engine's numbers.
   const WebGraph graph = MakeGraph();
   const SoftFocusedStrategy soft;
   SimulationOptions options;
@@ -295,9 +295,9 @@ TEST(SnapshotResumeTest, ShardedSplitRunIsBitIdentical) {
 }
 
 TEST(SnapshotResumeTest, ShardCountIsPartOfTheFingerprint) {
-  // A sharded snapshot resumes only under the same shard count: the
-  // per-shard section layout (and the local-id mapping inside each
-  // CrawlState slice) is meaningless under any other partition.
+  // A sharded snapshot resumes only under the same shard count: its
+  // frontier section holds one slice per shard, which is meaningless
+  // under any other partition.
   const WebGraph graph = MakeGraph();
   const std::string dir = SnapshotDirFor("shard_count");
   const SoftFocusedStrategy soft;
@@ -337,7 +337,7 @@ TEST(SnapshotResumeTest, ShardCountIsPartOfTheFingerprint) {
   }
   {
     // A sharded snapshot cannot feed the serial engine either (their
-    // scheduler kinds and section layouts differ).
+    // scheduler kinds and frontier payloads differ).
     SimulationOptions serial;
     serial.sample_interval = 50;
     MetaTagClassifier resume_classifier(Language::kThai);

@@ -67,8 +67,9 @@ TEST(UrlTableTest, CollidingHashesStillDistinct) {
   // must not depend on hash spread.
   UrlTable t;
   for (int i = 0; i < 1000; ++i) {
-    t.Intern(std::string(1, static_cast<char>('a' + i % 26)) +
-             std::to_string(i));
+    std::string key(1, static_cast<char>('a' + i % 26));
+    key += std::to_string(i);
+    t.Intern(key);
   }
   EXPECT_EQ(t.size(), 1000u);
 }

@@ -104,6 +104,21 @@ struct ResolveCase {
   const char* expected;
 };
 
+// Names the case by its quoted reference in test listings (and so in
+// the CTest test name); without it gtest prints the pointer values.
+// CMake splits lists on ';', so that one byte is percent-encoded.
+void PrintTo(const ResolveCase& c, std::ostream* os) {
+  *os << '"';
+  for (const char* p = c.ref; *p != '\0'; ++p) {
+    if (*p == ';') {
+      *os << "%3B";
+    } else {
+      *os << *p;
+    }
+  }
+  *os << '"';
+}
+
 class ResolveTest : public ::testing::TestWithParam<ResolveCase> {};
 
 // RFC 3986 §5.4 normal examples against base http://a/b/c/d;p?q

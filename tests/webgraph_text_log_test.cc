@@ -87,6 +87,10 @@ struct BadCase {
   const char* expect_in_message;
 };
 
+// Names the case in test listings (and so in the CTest test name);
+// without it gtest prints the raw bytes, i.e. the pointer values.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class TextLogErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(TextLogErrorTest, RejectsWithLineDiagnostics) {

@@ -6,8 +6,8 @@ Checks:
 
   * the four sections exist: stages, counters, gauges, histograms;
   * the stage set is exactly the profiler's nine crawl phases, each
-    with a non-negative integer call count (route/merge stay zero in
-    serial runs);
+    with a non-negative integer call count (merge stays zero in serial
+    runs, rescore outside the batch regime);
   * counters are non-negative integers; gauges carry value <= max;
   * every histogram's count equals the sum of its bucket counts, and
     min <= max when non-empty;
@@ -23,8 +23,8 @@ import json
 import sys
 
 EXPECTED_STAGES = ["fetch", "classify", "extract", "strategy",
-                   "frontier-push", "sample", "checkpoint", "route",
-                   "merge", "rescore"]
+                   "frontier-push", "sample", "checkpoint", "merge",
+                   "rescore"]
 
 
 def is_count(value):

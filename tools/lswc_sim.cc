@@ -342,6 +342,22 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                  "politeness simulator has its own per-host scheduler\n");
     return false;
   }
+  if (args->shard_batch != 0 && args->shards == 0) {
+    std::fprintf(stderr, "--shard-batch requires --shards\n");
+    return false;
+  }
+  if (args->politeness && args->frontier_capacity != 0) {
+    std::fprintf(stderr,
+                 "--frontier-capacity applies to the timeless simulator "
+                 "only; --politeness keeps unbounded per-host queues\n");
+    return false;
+  }
+  if (args->politeness && args->parse_html) {
+    std::fprintf(stderr,
+                 "--parse-html applies to the timeless simulator only; "
+                 "--politeness replays the link database\n");
+    return false;
+  }
   if (args->frontier != "batch") {
     if (args->batch_k != 0) {
       std::fprintf(stderr, "--batch-k requires --frontier=batch\n");

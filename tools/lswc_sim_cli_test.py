@@ -99,6 +99,13 @@ def main():
                  run(binary, "--frontier=batch", "--politeness=16,1.0"))
     expect_usage("batch with frontier capacity",
                  run(binary, "--frontier=batch", "--frontier-capacity=100"))
+    # Flags the chosen simulator would ignore are refused, not dropped.
+    expect_usage("frontier capacity with politeness",
+                 run(binary, "--frontier-capacity=10", "--politeness=4,0.5"))
+    expect_usage("parse-html with politeness",
+                 run(binary, "--parse-html", "--politeness=4,0.5"))
+    expect_usage("shard-batch without shards",
+                 run(binary, "--shard-batch=7"))
 
     r = run(binary, "--dataset=thai", "--pages=1500", "--strategy=soft",
             "--frontier=batch", "--batch-k=32", "--scorers=lang:1.0,nope")
