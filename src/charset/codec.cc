@@ -1,8 +1,11 @@
 #include "charset/codec.h"
 
+#include <algorithm>
 #include <array>
+#include <span>
 
 #include "html/entity.h"
+#include "util/string_util.h"
 
 namespace lswc {
 
@@ -129,6 +132,51 @@ constexpr std::array<Win874Extra, 8> kWin874Extras{{
     {0x96, U'–'},
 }};
 
+// Every supported JIS X 0208 code, built at compile time from the kana
+// ranges, kRow1 and kKanji. Where two entries would claim the same
+// code or codepoint, the earlier one wins, in that order.
+constexpr int kJisRows = 94;
+
+struct JisTables {
+  // (row - 1) * 94 + (cell - 1) -> codepoint; 0 where unmapped. The
+  // repertoire lies in the BMP.
+  std::array<char16_t, kJisRows * kJisRows> to_unicode{};
+  // kRow1 and kKanji sorted by codepoint, stably, so the first of equal
+  // codepoints is the earlier entry.
+  std::array<JisPair, kRow1.size() + kKanji.size()> from_unicode{};
+};
+
+constexpr JisTables BuildJisTables() {
+  JisTables t;
+  auto map = [&t](int row, int cell, char32_t cp) {
+    char16_t& slot = t.to_unicode[(row - 1) * kJisRows + (cell - 1)];
+    if (slot == 0) slot = static_cast<char16_t>(cp);
+  };
+  for (char32_t cp = kHiraganaFirst; cp <= kHiraganaLast; ++cp) {
+    map(4, static_cast<int>(cp - kHiraganaFirst) + 1, cp);
+  }
+  for (char32_t cp = kKatakanaFirst; cp <= kKatakanaLast; ++cp) {
+    map(5, static_cast<int>(cp - kKatakanaFirst) + 1, cp);
+  }
+  size_t n = 0;
+  for (const auto& table : {std::span<const JisPair>(kRow1),
+                            std::span<const JisPair>(kKanji)}) {
+    for (const JisPair& p : table) {
+      map(p.kuten / 100, p.kuten % 100, p.cp);
+      // Insertion sort: stable, and 72 entries are few.
+      size_t i = n++;
+      while (i > 0 && t.from_unicode[i - 1].cp > p.cp) {
+        t.from_unicode[i] = t.from_unicode[i - 1];
+        --i;
+      }
+      t.from_unicode[i] = p;
+    }
+  }
+  return t;
+}
+
+constexpr JisTables kJis = BuildJisTables();
+
 bool Tis620FromUnicode(char32_t cp, unsigned char* out) {
   if (cp >= kThaiRun1First && cp <= kThaiRun1Last) {
     *out = static_cast<unsigned char>(0xA1 + (cp - kThaiRun1First));
@@ -137,6 +185,16 @@ bool Tis620FromUnicode(char32_t cp, unsigned char* out) {
   if (cp >= kThaiRun2First && cp <= kThaiRun2Last) {
     *out = static_cast<unsigned char>(0xDF + (cp - kThaiRun2First));
     return true;
+  }
+  return false;
+}
+
+bool Win874ExtraFromUnicode(char32_t cp, unsigned char* out) {
+  for (const auto& x : kWin874Extras) {
+    if (x.cp == cp) {
+      *out = x.byte;
+      return true;
+    }
   }
   return false;
 }
@@ -166,49 +224,26 @@ bool UnicodeToJis(char32_t cp, JisCode* out) {
     out->cell = static_cast<int>(cp - kKatakanaFirst) + 1;
     return true;
   }
-  for (const auto& p : kRow1) {
-    if (p.cp == cp) {
-      out->row = p.kuten / 100;
-      out->cell = p.kuten % 100;
-      return true;
-    }
-  }
-  for (const auto& p : kKanji) {
-    if (p.cp == cp) {
-      out->row = p.kuten / 100;
-      out->cell = p.kuten % 100;
-      return true;
-    }
-  }
-  return false;
+  const auto& table = kJis.from_unicode;
+  const auto it = std::lower_bound(
+      table.begin(), table.end(), cp,
+      [](const JisPair& p, char32_t key) { return p.cp < key; });
+  if (it == table.end() || it->cp != cp) return false;
+  out->row = it->kuten / 100;
+  out->cell = it->kuten % 100;
+  return true;
 }
 
 bool JisToUnicode(JisCode code, char32_t* out) {
-  if (code.row < 1 || code.row > 94 || code.cell < 1 || code.cell > 94) {
+  if (code.row < 1 || code.row > kJisRows || code.cell < 1 ||
+      code.cell > kJisRows) {
     return false;
   }
-  if (code.row == 4 && code.cell <= 83) {
-    *out = kHiraganaFirst + static_cast<char32_t>(code.cell - 1);
-    return true;
-  }
-  if (code.row == 5 && code.cell <= 86) {
-    *out = kKatakanaFirst + static_cast<char32_t>(code.cell - 1);
-    return true;
-  }
-  const uint16_t kuten = static_cast<uint16_t>(code.row * 100 + code.cell);
-  for (const auto& p : kRow1) {
-    if (p.kuten == kuten) {
-      *out = p.cp;
-      return true;
-    }
-  }
-  for (const auto& p : kKanji) {
-    if (p.kuten == kuten) {
-      *out = p.cp;
-      return true;
-    }
-  }
-  return false;
+  const char16_t cp =
+      kJis.to_unicode[(code.row - 1) * kJisRows + (code.cell - 1)];
+  if (cp == 0) return false;
+  *out = cp;
+  return true;
 }
 
 bool CanEncode(Encoding e, char32_t cp) {
@@ -232,11 +267,8 @@ bool CanEncode(Encoding e, char32_t cp) {
     }
     case Encoding::kWindows874: {
       unsigned char b;
-      if (cp < 0x80 || Tis620FromUnicode(cp, &b)) return true;
-      for (const auto& x : kWin874Extras) {
-        if (x.cp == cp) return true;
-      }
-      return false;
+      return cp < 0x80 || Tis620FromUnicode(cp, &b) ||
+             Win874ExtraFromUnicode(cp, &b);
     }
     case Encoding::kUnknown:
     case Encoding::kNumEncodings:
@@ -294,22 +326,6 @@ StatusOr<std::u32string> DecodeUtf8(std::string_view bytes) {
 }
 
 namespace {
-
-Status EncodeEucJp(const std::u32string& text, std::string* out) {
-  for (char32_t cp : text) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-      continue;
-    }
-    JisCode jis;
-    if (!UnicodeToJis(cp, &jis)) {
-      return Status::InvalidArgument("codepoint not in EUC-JP repertoire");
-    }
-    out->push_back(static_cast<char>(0xA0 + jis.row));
-    out->push_back(static_cast<char>(0xA0 + jis.cell));
-  }
-  return Status::OK();
-}
 
 Status DecodeEucJp(std::string_view bytes, std::u32string* out) {
   size_t i = 0;
@@ -379,24 +395,6 @@ bool SjisToJis(unsigned char lead, unsigned char trail, JisCode* jis) {
   return jis->cell >= 1 && jis->cell <= 94;
 }
 
-Status EncodeShiftJis(const std::u32string& text, std::string* out) {
-  for (char32_t cp : text) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-      continue;
-    }
-    JisCode jis;
-    if (!UnicodeToJis(cp, &jis)) {
-      return Status::InvalidArgument("codepoint not in Shift_JIS repertoire");
-    }
-    unsigned char lead, trail;
-    JisToSjis(jis, &lead, &trail);
-    out->push_back(static_cast<char>(lead));
-    out->push_back(static_cast<char>(trail));
-  }
-  return Status::OK();
-}
-
 Status DecodeShiftJis(std::string_view bytes, std::u32string* out) {
   size_t i = 0;
   while (i < bytes.size()) {
@@ -424,33 +422,6 @@ Status DecodeShiftJis(std::string_view bytes, std::u32string* out) {
     out->push_back(cp);
     i += 2;
   }
-  return Status::OK();
-}
-
-Status EncodeIso2022Jp(const std::u32string& text, std::string* out) {
-  bool in_jis = false;
-  for (char32_t cp : text) {
-    if (cp < 0x80) {
-      if (in_jis) {
-        out->append("\x1b(B");
-        in_jis = false;
-      }
-      out->push_back(static_cast<char>(cp));
-      continue;
-    }
-    JisCode jis;
-    if (!UnicodeToJis(cp, &jis)) {
-      return Status::InvalidArgument(
-          "codepoint not in ISO-2022-JP repertoire");
-    }
-    if (!in_jis) {
-      out->append("\x1b$B");
-      in_jis = true;
-    }
-    out->push_back(static_cast<char>(0x20 + jis.row));
-    out->push_back(static_cast<char>(0x20 + jis.cell));
-  }
-  if (in_jis) out->append("\x1b(B");
   return Status::OK();
 }
 
@@ -494,34 +465,6 @@ Status DecodeIso2022Jp(std::string_view bytes, std::u32string* out) {
   return Status::OK();
 }
 
-Status EncodeTis620Like(Encoding e, const std::u32string& text,
-                        std::string* out) {
-  for (char32_t cp : text) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-      continue;
-    }
-    unsigned char b;
-    if (Tis620FromUnicode(cp, &b)) {
-      out->push_back(static_cast<char>(b));
-      continue;
-    }
-    if (e == Encoding::kWindows874) {
-      bool found = false;
-      for (const auto& x : kWin874Extras) {
-        if (x.cp == cp) {
-          out->push_back(static_cast<char>(x.byte));
-          found = true;
-          break;
-        }
-      }
-      if (found) continue;
-    }
-    return Status::InvalidArgument("codepoint not in TIS-620 repertoire");
-  }
-  return Status::OK();
-}
-
 Status DecodeTis620Like(Encoding e, std::string_view bytes,
                         std::u32string* out) {
   for (char c : bytes) {
@@ -553,43 +496,160 @@ Status DecodeTis620Like(Encoding e, std::string_view bytes,
 
 }  // namespace
 
-StatusOr<std::string> EncodeText(Encoding e, const std::u32string& text) {
-  std::string out;
-  out.reserve(text.size() * 2);
-  Status s = Status::OK();
+TextEncoder::TextEncoder(Encoding e, std::string* out)
+    : encoding_(e), out_(out) {}
+
+namespace {
+
+// The most bytes one codepoint takes in encoding `e`, counting the
+// ISO-2022-JP escape that may precede it.
+constexpr size_t MaxBytesPerCodepoint(Encoding e) {
   switch (e) {
-    case Encoding::kAscii:
-      for (char32_t cp : text) {
-        if (cp >= 0x80) return Status::InvalidArgument("non-ASCII codepoint");
-        out.push_back(static_cast<char>(cp));
-      }
-      break;
-    case Encoding::kUtf8:
-      return EncodeUtf8(text);
-    case Encoding::kLatin1:
-      for (char32_t cp : text) {
-        if (cp > 0xFF) return Status::InvalidArgument("non-Latin-1 codepoint");
-        out.push_back(static_cast<char>(cp));
-      }
-      break;
-    case Encoding::kEucJp:
-      s = EncodeEucJp(text, &out);
-      break;
-    case Encoding::kShiftJis:
-      s = EncodeShiftJis(text, &out);
-      break;
     case Encoding::kIso2022Jp:
-      s = EncodeIso2022Jp(text, &out);
-      break;
+      return 5;
+    case Encoding::kUtf8:
+      return 4;
+    case Encoding::kEucJp:
+    case Encoding::kShiftJis:
+      return 2;
+    default:
+      return 1;
+  }
+}
+
+char* PutEscape(const char (&escape)[4], char* p) {
+  p[0] = escape[0];
+  p[1] = escape[1];
+  p[2] = escape[2];
+  return p + 3;
+}
+
+}  // namespace
+
+template <Encoding kE>
+void TextEncoder::AppendIn(std::u32string_view text) {
+  // Bytes go through a raw pointer into room made up front: stored one
+  // by one with push_back, each byte re-reads the string's length.
+  const size_t start = out_->size();
+  out_->resize(start + MaxBytesPerCodepoint(kE) * text.size());
+  char* p = out_->data() + start;
+  for (const char32_t cp : text) {
+    if (cp < 0x80) {
+      if constexpr (kE == Encoding::kIso2022Jp) {
+        if (in_jis_) {
+          p = PutEscape("\x1b(B", p);
+          in_jis_ = false;
+        }
+      }
+      *p++ = static_cast<char>(cp);
+      continue;
+    }
+    if constexpr (kE == Encoding::kUtf8) {
+      p = PutUtf8(cp, p);
+    } else if constexpr (kE == Encoding::kEucJp ||
+                         kE == Encoding::kShiftJis ||
+                         kE == Encoding::kIso2022Jp) {
+      JisCode jis;
+      if (!UnicodeToJis(cp, &jis)) {
+        Reject(cp);
+        continue;
+      }
+      if constexpr (kE == Encoding::kEucJp) {
+        *p++ = static_cast<char>(0xA0 + jis.row);
+        *p++ = static_cast<char>(0xA0 + jis.cell);
+      } else if constexpr (kE == Encoding::kShiftJis) {
+        unsigned char lead, trail;
+        JisToSjis(jis, &lead, &trail);
+        *p++ = static_cast<char>(lead);
+        *p++ = static_cast<char>(trail);
+      } else {
+        if (!in_jis_) {
+          p = PutEscape("\x1b$B", p);
+          in_jis_ = true;
+        }
+        *p++ = static_cast<char>(0x20 + jis.row);
+        *p++ = static_cast<char>(0x20 + jis.cell);
+      }
+    } else {
+      // Single-byte encodings.
+      unsigned char b = 0;
+      bool ok = false;
+      if constexpr (kE == Encoding::kLatin1) {
+        ok = cp <= 0xFF;
+        b = static_cast<unsigned char>(cp);
+      } else if constexpr (kE == Encoding::kTis620 ||
+                           kE == Encoding::kWindows874) {
+        ok = Tis620FromUnicode(cp, &b);
+        if constexpr (kE == Encoding::kWindows874) {
+          ok = ok || Win874ExtraFromUnicode(cp, &b);
+        }
+      }
+      if (!ok) {
+        Reject(cp);
+        continue;
+      }
+      *p++ = static_cast<char>(b);
+    }
+  }
+  out_->resize(static_cast<size_t>(p - out_->data()));
+}
+
+void TextEncoder::Append(std::u32string_view text) {
+  switch (encoding_) {
+    case Encoding::kAscii:
+      return AppendIn<Encoding::kAscii>(text);
+    case Encoding::kUtf8:
+      return AppendIn<Encoding::kUtf8>(text);
+    case Encoding::kLatin1:
+      return AppendIn<Encoding::kLatin1>(text);
+    case Encoding::kEucJp:
+      return AppendIn<Encoding::kEucJp>(text);
+    case Encoding::kShiftJis:
+      return AppendIn<Encoding::kShiftJis>(text);
+    case Encoding::kIso2022Jp:
+      return AppendIn<Encoding::kIso2022Jp>(text);
     case Encoding::kTis620:
+      return AppendIn<Encoding::kTis620>(text);
     case Encoding::kWindows874:
-      s = EncodeTis620Like(e, text, &out);
-      break;
+      return AppendIn<Encoding::kWindows874>(text);
     case Encoding::kUnknown:
     case Encoding::kNumEncodings:
-      return Status::InvalidArgument("cannot encode to unknown encoding");
+      return;  // Finish reports the encoding.
   }
-  if (!s.ok()) return s;
+}
+
+std::string* TextEncoder::ascii_out() {
+  if (in_jis_) {
+    out_->append("\x1b(B");
+    in_jis_ = false;
+  }
+  return out_;
+}
+
+Status TextEncoder::Finish() {
+  if (encoding_ == Encoding::kUnknown ||
+      encoding_ == Encoding::kNumEncodings) {
+    return Status::InvalidArgument("cannot encode to unknown encoding");
+  }
+  ascii_out();
+  if (first_rejected_.has_value()) {
+    return Status::InvalidArgument(
+        StringPrintf("codepoint U+%04X not in the %s repertoire",
+                     static_cast<unsigned>(*first_rejected_),
+                     std::string(EncodingName(encoding_)).c_str()));
+  }
+  return Status::OK();
+}
+
+void TextEncoder::Reject(char32_t cp) {
+  if (!first_rejected_.has_value()) first_rejected_ = cp;
+}
+
+StatusOr<std::string> EncodeText(Encoding e, const std::u32string& text) {
+  std::string out;
+  TextEncoder encoder(e, &out);
+  encoder.Append(text);
+  LSWC_RETURN_IF_ERROR(encoder.Finish());
   return out;
 }
 

@@ -127,23 +127,34 @@ void AppendEnglish(size_t approx_chars, Rng* rng, std::u32string* out) {
 std::u32string GenerateText(Language lang, size_t approx_chars, Rng* rng) {
   std::u32string out;
   out.reserve(approx_chars + 8);
-  switch (lang) {
-    case Language::kJapanese:
-      AppendJapanese(approx_chars, rng, &out);
-      break;
-    case Language::kThai:
-      AppendThai(approx_chars, rng, &out);
-      break;
-    case Language::kOther:
-    case Language::kUnknown:
-      AppendEnglish(approx_chars, rng, &out);
-      break;
-  }
+  AppendText(lang, approx_chars, rng, &out);
   return out;
 }
 
 std::u32string GenerateTitle(Language lang, Rng* rng) {
-  return GenerateText(lang, 8 + rng->UniformUint64(12), rng);
+  std::u32string out;
+  AppendTitle(lang, rng, &out);
+  return out;
+}
+
+void AppendText(Language lang, size_t approx_chars, Rng* rng,
+                std::u32string* out) {
+  switch (lang) {
+    case Language::kJapanese:
+      AppendJapanese(approx_chars, rng, out);
+      break;
+    case Language::kThai:
+      AppendThai(approx_chars, rng, out);
+      break;
+    case Language::kOther:
+    case Language::kUnknown:
+      AppendEnglish(approx_chars, rng, out);
+      break;
+  }
+}
+
+void AppendTitle(Language lang, Rng* rng, std::u32string* out) {
+  AppendText(lang, 8 + rng->UniformUint64(12), rng, out);
 }
 
 }  // namespace lswc

@@ -24,6 +24,12 @@ std::u32string GenerateText(Language lang, size_t approx_chars, Rng* rng);
 /// Generates a short title (a few words) in the language.
 std::u32string GenerateTitle(Language lang, Rng* rng);
 
+/// Append forms of the two above: the same draws and codepoints, added
+/// to the end of `out` (a renderer reuses one buffer for every chunk).
+void AppendText(Language lang, size_t approx_chars, Rng* rng,
+                std::u32string* out);
+void AppendTitle(Language lang, Rng* rng, std::u32string* out);
+
 }  // namespace lswc
 
 #endif  // LSWC_CHARSET_TEXT_GEN_H_

@@ -26,7 +26,7 @@ BatchFrontier::BatchFrontier(uint32_t select_k,
 
 void BatchFrontier::PushScored(PageId url, int priority,
                                const PushContext& context) {
-  if (PushWithSeq(url, priority, context, next_seq_)) ++next_seq_;
+  PushWithSeq(url, priority, context, next_seq_);
 }
 
 bool BatchFrontier::PushWithSeq(PageId url, int priority,
@@ -37,7 +37,10 @@ bool BatchFrontier::PushWithSeq(PageId url, int priority,
   if (in_batch_.count(url) != 0) return false;
   const auto [it, inserted] = pending_.try_emplace(url);
   Entry& entry = it->second;
-  if (inserted) entry.seq = seq;
+  if (inserted) {
+    entry.seq = seq;
+    next_seq_ = std::max(next_seq_, seq + 1);
+  }
   entry.inputs.priority = ClampPriority(priority);
   entry.inputs.annotation = context.annotation;
   entry.inputs.parent_relevant = context.parent_relevant;
@@ -155,6 +158,14 @@ Status BatchFrontier::Save(snapshot::SectionWriter* w) const {
 }
 
 Status BatchFrontier::Restore(snapshot::SectionReader* r) {
+  State state;
+  LSWC_RETURN_IF_ERROR(ReadState(r, &state));
+  AdoptState(std::move(state));
+  return Status::OK();
+}
+
+Status BatchFrontier::ReadState(snapshot::SectionReader* r,
+                                State* state) const {
   const uint32_t saved_k = r->U32();
   const std::string saved_scorer = r->Str();
   LSWC_RETURN_IF_ERROR(r->status());
@@ -184,13 +195,23 @@ Status BatchFrontier::Restore(snapshot::SectionReader* r) {
       parent_relevant.size() != n || parent_confidence.size() != n) {
     return Status::Corruption("batch frontier snapshot arrays disagree");
   }
+  // Selection ties break on seq, so each must be unique, and a later
+  // push takes next_seq, so each must be below it.
+  std::vector<uint64_t> sorted_seqs = seqs;
+  std::sort(sorted_seqs.begin(), sorted_seqs.end());
+  if (std::adjacent_find(sorted_seqs.begin(), sorted_seqs.end()) !=
+      sorted_seqs.end()) {
+    return Status::Corruption("batch frontier snapshot repeats a sequence "
+                              "number");
+  }
+  if (!sorted_seqs.empty() && sorted_seqs.back() >= next_seq) {
+    return Status::Corruption(
+        "batch frontier snapshot holds sequence number " +
+        std::to_string(sorted_seqs.back()) + " but its next_seq is " +
+        std::to_string(next_seq));
+  }
 
-  pending_.clear();
-  batch_.clear();
-  in_batch_.clear();
-  next_seq_ = next_seq;
-  max_size_ = max_size;
-  pending_.reserve(n);
+  state->pending.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     Entry entry;
     entry.seq = seqs[i];
@@ -198,17 +219,27 @@ Status BatchFrontier::Restore(snapshot::SectionReader* r) {
     entry.inputs.annotation = annotations[i];
     entry.inputs.parent_relevant = parent_relevant[i];
     entry.inputs.parent_confidence = parent_confidence[i];
-    if (!pending_.emplace(urls[i], entry).second) {
+    if (!state->pending.emplace(urls[i], entry).second) {
       return Status::Corruption("batch frontier snapshot repeats a URL");
     }
   }
   for (const uint32_t url : batched) {
-    if (pending_.count(url) != 0 || !in_batch_.insert(url).second) {
+    if (state->pending.count(url) != 0 || !state->in_batch.insert(url).second) {
       return Status::Corruption("batch frontier snapshot repeats a URL");
     }
-    batch_.push_back(url);
+    state->batch.push_back(url);
   }
+  state->next_seq = next_seq;
+  state->max_size = max_size;
   return Status::OK();
+}
+
+void BatchFrontier::AdoptState(State state) {
+  pending_ = std::move(state.pending);
+  batch_ = std::move(state.batch);
+  in_batch_ = std::move(state.in_batch);
+  next_seq_ = state.next_seq;
+  max_size_ = state.max_size;
 }
 
 }  // namespace lswc

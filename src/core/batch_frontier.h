@@ -89,6 +89,28 @@ class BatchFrontier final : public Frontier {
   Status Save(snapshot::SectionWriter* w) const override;
   Status Restore(snapshot::SectionReader* r) override;
 
+  /// A pending URL's scoring record.
+  struct Entry {
+    uint64_t seq = 0;
+    ScoreInputs inputs;
+  };
+  /// A Save() payload, read and checked but not applied. Restore() is
+  /// ReadState() then AdoptState(); the sharded scheduler reads every
+  /// slice before it adopts any, so a bad payload changes no slice.
+  struct State {
+    std::unordered_map<PageId, Entry> pending;
+    std::deque<PageId> batch;
+    std::unordered_set<PageId> in_batch;
+    uint64_t next_seq = 0;
+    size_t max_size = 0;
+  };
+  /// Reads a Save() payload into `state`, leaving this frontier as it
+  /// is. FailedPrecondition when it was saved with another batch_k or
+  /// scorer spec; Corruption when arrays disagree, a URL repeats, or a
+  /// sequence number repeats or is not below the saved next_seq.
+  Status ReadState(snapshot::SectionReader* r, State* state) const;
+  void AdoptState(State state);
+
   uint32_t select_k() const { return select_k_; }
   const Scorer& scorer() const { return *scorer_; }
   /// URLs awaiting selection (excludes the current batch).
@@ -101,7 +123,9 @@ class BatchFrontier final : public Frontier {
   /// Push with an externally assigned global sequence. Returns true
   /// when `seq` was consumed (a new entry); a re-push updates the
   /// entry's context in place and returns false, as does a push for a
-  /// URL currently batched.
+  /// URL currently batched. The frontier's own next sequence (which a
+  /// snapshot records and Restore checks against) stays one past the
+  /// largest it has taken.
   bool PushWithSeq(PageId url, int priority, const PushContext& context,
                    uint64_t seq);
 
@@ -120,12 +144,6 @@ class BatchFrontier final : public Frontier {
                      uint32_t rank) const;
 
  private:
-  /// A pending URL's scoring record.
-  struct Entry {
-    uint64_t seq = 0;
-    ScoreInputs inputs;
-  };
-
   /// Rescores the pending set and moves the top `select_k_` URLs into
   /// the batch.
   void Refill();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <utility>
 
 #include "util/random.h"
@@ -218,6 +219,14 @@ StatusOr<std::unique_ptr<Scorer>> MakeCompositeScorer(const std::string& spec,
       if (!parsed) {
         return Status::InvalidArgument(
             "scorer '" + name + "' has an unparsable weight '" +
+            std::string(weight_str) + "' in spec '" + spec + "'");
+      }
+      // NaN or infinite weights make NaN scores (inf x 0 for an
+      // irrelevant referrer), which break the (score desc, seq asc)
+      // order that selection and the sharded merge rely on.
+      if (!std::isfinite(*parsed)) {
+        return Status::InvalidArgument(
+            "scorer '" + name + "' has a non-finite weight '" +
             std::string(weight_str) + "' in spec '" + spec + "'");
       }
       weight = *parsed;

@@ -59,29 +59,37 @@ void ShardFrontier::Save(snapshot::SectionWriter* w) const {
 
 Status ShardFrontier::Restore(snapshot::SectionReader* r) {
   const uint64_t saved_levels = r->U64();
-  if (r->status().ok() &&
-      saved_levels != static_cast<uint64_t>(num_levels())) {
+  LSWC_RETURN_IF_ERROR(r->status());
+  if (saved_levels != static_cast<uint64_t>(num_levels())) {
     return Status::FailedPrecondition(
         "shard frontier has " + std::to_string(saved_levels) +
         " levels in the snapshot but " + std::to_string(num_levels()) +
         " in this run");
   }
-  for (auto& level : levels_) level.clear();
-  size_ = 0;
-  highest_nonempty_ = -1;
+  // Read into a fresh frontier, so a bad payload changes nothing here.
+  ShardFrontier restored(num_levels());
   for (int level = num_levels() - 1; level >= 0; --level) {
     const uint64_t count = r->U64();
-    if (!r->status().ok()) break;
+    LSWC_RETURN_IF_ERROR(r->status());
+    std::deque<Entry>& entries = restored.levels_[level];
     for (uint64_t i = 0; i < count; ++i) {
       const uint64_t seq = r->U64();
       const PageId url = r->U32();
-      if (!r->status().ok()) break;
-      levels_[level].push_back(Entry{seq, url});
-      ++size_;
-      highest_nonempty_ = std::max(highest_nonempty_, level);
+      LSWC_RETURN_IF_ERROR(r->status());
+      // PeekHead takes a level's front as its oldest entry.
+      if (!entries.empty() && seq <= entries.back().seq) {
+        return Status::Corruption(
+            "shard frontier snapshot level " + std::to_string(level) +
+            " is not in increasing sequence order");
+      }
+      entries.push_back(Entry{seq, url});
+      ++restored.size_;
+      restored.highest_nonempty_ =
+          std::max(restored.highest_nonempty_, level);
     }
   }
-  return r->status();
+  *this = std::move(restored);
+  return Status::OK();
 }
 
 }  // namespace lswc

@@ -123,11 +123,14 @@ class ShardedScheduler final : public FrontierScheduler {
     return Status::OK();
   }
 
+  /// Reads and checks the whole payload, every slice included, before
+  /// it changes anything, so a bad payload leaves the scheduler as it
+  /// was.
   Status RestoreState(snapshot::SectionReader* r) override {
     const uint64_t saved_shards = r->U64();
-    next_seq_ = r->U64();
-    size_ = r->U64();
-    max_size_ = r->U64();
+    const uint64_t next_seq = r->U64();
+    const uint64_t size = r->U64();
+    const uint64_t max_size = r->U64();
     LSWC_RETURN_IF_ERROR(r->status());
     if (saved_shards != router_->num_shards()) {
       return Status::Corruption(
@@ -136,33 +139,80 @@ class ShardedScheduler final : public FrontierScheduler {
           std::to_string(router_->num_shards()));
     }
     uint64_t restored = 0;
+    std::vector<uint64_t> seqs;  // Of every pending entry in every slice.
+    std::deque<PageId> batch_queue;
+    std::unordered_set<PageId> in_batch;
+    std::vector<BatchFrontier::State> batch_states(batch_.size());
+    std::vector<ShardFrontier> pop_states;
     if (!batch_.empty()) {
       const std::vector<uint32_t> queued = r->U32Vec();
       LSWC_RETURN_IF_ERROR(r->status());
-      batch_queue_.clear();
-      in_batch_.clear();
       for (const uint32_t url : queued) {
-        if (!in_batch_.insert(url).second) {
+        if (!in_batch.insert(url).second) {
           return Status::Corruption(
               "sharded batch queue snapshot repeats a URL");
         }
-        batch_queue_.push_back(url);
+        batch_queue.push_back(url);
       }
-      restored = batch_queue_.size();
-      for (const auto& slice : batch_) {
-        LSWC_RETURN_IF_ERROR(slice->Restore(r));
-        restored += slice->size();
+      restored = batch_queue.size();
+      for (size_t s = 0; s < batch_.size(); ++s) {
+        BatchFrontier::State& state = batch_states[s];
+        LSWC_RETURN_IF_ERROR(batch_[s]->ReadState(r, &state));
+        restored += state.pending.size() + state.batch.size();
+        for (const auto& [url, entry] : state.pending) {
+          seqs.push_back(entry.seq);
+        }
+      }
+      for (const PageId url : batch_queue) {
+        for (const BatchFrontier::State& state : batch_states) {
+          if (state.pending.count(url) != 0) {
+            return Status::Corruption(
+                "sharded batch queue snapshot repeats a pending URL");
+          }
+        }
       }
     } else {
+      pop_states.reserve(pop_.size());
       for (const auto& slice : pop_) {
-        LSWC_RETURN_IF_ERROR(slice->Restore(r));
-        restored += slice->size();
+        pop_states.emplace_back(slice->num_levels());
+        LSWC_RETURN_IF_ERROR(pop_states.back().Restore(r));
+        restored += pop_states.back().size();
+        for (int level = 0; level < slice->num_levels(); ++level) {
+          for (const auto& entry : pop_states.back().level_entries(level)) {
+            seqs.push_back(entry.seq);
+          }
+        }
       }
     }
-    if (restored != size_) {
+    if (restored != size) {
       return Status::Corruption(
           "shard frontiers hold " + std::to_string(restored) +
-          " pending URLs but the snapshot recorded " + std::to_string(size_));
+          " pending URLs but the snapshot recorded " + std::to_string(size));
+    }
+    // The merge orders ties on the global sequence: unique, and below
+    // the next one to be handed out.
+    std::sort(seqs.begin(), seqs.end());
+    if (std::adjacent_find(seqs.begin(), seqs.end()) != seqs.end()) {
+      return Status::Corruption(
+          "sharded frontier snapshot repeats a sequence number");
+    }
+    if (!seqs.empty() && seqs.back() >= next_seq) {
+      return Status::Corruption(
+          "sharded frontier snapshot holds sequence number " +
+          std::to_string(seqs.back()) + " but its next_seq is " +
+          std::to_string(next_seq));
+    }
+
+    next_seq_ = next_seq;
+    size_ = size;
+    max_size_ = max_size;
+    batch_queue_ = std::move(batch_queue);
+    in_batch_ = std::move(in_batch);
+    for (size_t s = 0; s < batch_.size(); ++s) {
+      batch_[s]->AdoptState(std::move(batch_states[s]));
+    }
+    for (size_t s = 0; s < pop_states.size(); ++s) {
+      *pop_[s] = std::move(pop_states[s]);
     }
     return Status::OK();
   }

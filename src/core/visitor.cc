@@ -37,24 +37,26 @@ Status Visitor::Visit(PageId id, VisitResult* out) {
 
 Status Visitor::ExtractFromHtml(const VisitResult& result,
                                 std::vector<PageId>* links) {
-  // Decode using the encoding the crawler *believes* the page uses (the
-  // classifier's verdict, falling back to the declared charset), then
-  // re-encode to UTF-8 for parsing. Undecodable bytes fall back to raw
-  // parsing — markup is ASCII-compatible in every supported encoding
-  // except ISO-2022-JP, and for those the detector is reliable.
+  // Parse in the encoding the crawler *believes* the page uses (the
+  // classifier's verdict, falling back to the declared charset). Every
+  // rendered body's markup and hrefs are ASCII, and in every supported
+  // encoding but ISO-2022-JP each byte of a non-ASCII character is at
+  // least 0x80 (Shift_JIS trail bytes at least 0x40), so none can form
+  // markup: decoding to UTF-8 first would find the same links. Only an
+  // ISO-2022-JP belief decodes, since its JIS pairs are 7-bit; when that
+  // decode fails the raw bytes are parsed, as a wrong belief warrants.
   const FetchResponse& response = result.response;
-  std::string utf8;
   Encoding believed = result.judgment.encoding;
   if (believed == Encoding::kUnknown) believed = response.meta_charset;
-  bool decoded = false;
-  if (believed != Encoding::kUnknown) {
+  std::string utf8;
+  std::string_view html = response.body;
+  if (believed == Encoding::kIso2022Jp) {
     auto text = DecodeText(believed, response.body);
     if (text.ok()) {
       utf8 = EncodeUtf8(*text);
-      decoded = true;
+      html = utf8;
     }
   }
-  const std::string_view html = decoded ? utf8 : response.body;
 
   const std::string page_url = web_->graph().UrlOf(response.page);
   LinkExtractorOptions options;

@@ -24,11 +24,14 @@ struct VisitResult {
 /// Link extraction has two fidelities:
 ///  - trace mode (default): links come from the link database, the way
 ///    the paper's simulator replays them;
-///  - parse mode (`parse_html`, requires RenderMode::kFull): the rendered
-///    bytes are decoded using the classifier-visible encoding, anchors
-///    are extracted from the markup, canonicalized, and resolved back to
-///    log entries — the full production pipeline, used by integration
+///  - parse mode (`parse_html`, requires RenderMode::kFull): anchors are
+///    extracted from the rendered bytes, canonicalized, and resolved back
+///    to log entries — the full production pipeline, used by integration
 ///    tests and the quickstart example to prove the two paths agree.
+///    The markup is parsed in the page's own bytes: only a page the
+///    classifier (or, failing it, the META charset) believes is
+///    ISO-2022-JP is decoded to UTF-8 first, since that is the one
+///    supported encoding whose non-ASCII text can form markup bytes.
 class Visitor {
  public:
   /// Pointers are not owned and must outlive the visitor.

@@ -12,59 +12,15 @@ uint64_t Mix64(uint64_t key) {
   return z ^ (z >> 31);
 }
 
-namespace {
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& s : s_) s = sm.Next();
-}
-
-uint64_t Rng::NextUint64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Rng::UniformUint64(uint64_t bound) {
-  assert(bound > 0);
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  uint64_t x = NextUint64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  uint64_t l = static_cast<uint64_t>(m);
-  if (l < bound) {
-    uint64_t threshold = -bound % bound;
-    while (l < threshold) {
-      x = NextUint64();
-      m = static_cast<__uint128_t>(x) * bound;
-      l = static_cast<uint64_t>(m);
-    }
-  }
-  return static_cast<uint64_t>(m >> 64);
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   assert(lo < hi);
   return lo + static_cast<int64_t>(
                   UniformUint64(static_cast<uint64_t>(hi - lo)));
-}
-
-double Rng::UniformDouble() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 uint64_t Rng::Geometric(double p) {

@@ -2,6 +2,7 @@
 #define LSWC_UTIL_RANDOM_H_
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -37,21 +38,56 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL);
 
+  // The draws below are inline: page rendering makes about two per
+  // generated character.
+
   /// Uniform in [0, 2^64).
-  uint64_t NextUint64();
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses Lemire's method
   /// (unbiased rejection on the multiply-shift reduction).
-  uint64_t UniformUint64(uint64_t bound);
+  uint64_t UniformUint64(uint64_t bound) {
+    assert(bound > 0);
+    // Lemire's nearly-divisionless unbiased bounded generation.
+    uint64_t x = NextUint64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (l < threshold) {
+        x = NextUint64();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Uniform in [lo, hi). Requires lo < hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double UniformDouble();
+  double UniformDouble() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// True with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   /// Geometric: number of failures before the first success, success
   /// probability p in (0, 1].
@@ -75,6 +111,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

@@ -62,9 +62,16 @@ void ThreadPool::WorkerLoop() {
     } catch (...) {
       thrown = std::current_exception();
     }
+    // Nothing of the task may outlive the decrement below: once Wait()
+    // returns, the waiter may free what the task captured, or read and
+    // free the exception. So the task goes first, and this thread's
+    // reference to the exception is handed over (or dropped) under the
+    // lock.
+    task = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (thrown && !first_exception_) first_exception_ = thrown;
+      if (thrown && !first_exception_) first_exception_ = std::move(thrown);
+      thrown = nullptr;
       if (--pending_ == 0) idle_cv_.notify_all();
     }
   }

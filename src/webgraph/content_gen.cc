@@ -3,52 +3,102 @@
 #include "charset/codec.h"
 #include "charset/text_gen.h"
 #include "util/random.h"
-#include "util/string_util.h"
 
 namespace lswc {
 
 namespace {
-
-void AppendAscii(std::string_view ascii, std::u32string* out) {
-  for (char c : ascii) out->push_back(static_cast<char32_t>(c));
-}
 
 uint64_t ContentSeed(const WebGraph& graph, PageId id) {
   return Mix64(graph.generator_seed()) ^
          (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL);
 }
 
-// Builds the <head> section (through <body>) in UTF-32.
-void BuildHead(const WebGraph& graph, PageId id, Rng* rng,
-               std::u32string* doc) {
-  const PageRecord& page = graph.page(id);
-  AppendAscii("<!DOCTYPE html>\n<html>\n<head>\n", doc);
-  if (page.meta_charset != Encoding::kUnknown) {
-    AppendAscii("<meta http-equiv=\"Content-Type\" "
-                "content=\"text/html; charset=",
-                doc);
-    AppendAscii(EncodingName(page.meta_charset), doc);
-    AppendAscii("\">\n", doc);
+// Streams a page into its true encoding: markup goes in as ASCII, each
+// generated text chunk through one reused UTF-32 buffer.
+class PageWriter {
+ public:
+  PageWriter(const WebGraph& graph, PageId id, std::string* out)
+      : graph_(graph),
+        id_(id),
+        page_(graph.page(id)),
+        rng_(ContentSeed(graph, id)),
+        encoder_(page_.true_encoding, out) {}
+
+  // The <head> section, through <body>.
+  void Head() {
+    encoder_.AppendAscii("<!DOCTYPE html>\n<html>\n<head>\n");
+    if (page_.meta_charset != Encoding::kUnknown) {
+      encoder_.AppendAscii("<meta http-equiv=\"Content-Type\" "
+                           "content=\"text/html; charset=");
+      encoder_.AppendAscii(EncodingName(page_.meta_charset));
+      encoder_.AppendAscii("\">\n");
+    }
+    encoder_.AppendAscii("<title>");
+    // windows-874 authors are windows-874 (rather than TIS-620) precisely
+    // because their tooling emits C1 smart punctuation; reflect that so
+    // the detector can tell the variants apart.
+    const bool smart_quotes = page_.true_encoding == Encoding::kWindows874;
+    chunk_.clear();
+    if (smart_quotes) chunk_.push_back(U'“');
+    AppendTitle(page_.language, &rng_, &chunk_);
+    if (smart_quotes) chunk_.push_back(U'”');
+    encoder_.Append(chunk_);
+    encoder_.AppendAscii("</title>\n</head>\n<body>\n");
   }
-  AppendAscii("<title>", doc);
-  // windows-874 authors are windows-874 (rather than TIS-620) precisely
-  // because their tooling emits C1 smart punctuation; reflect that so
-  // the detector can tell the variants apart.
-  const bool smart_quotes = page.true_encoding == Encoding::kWindows874;
-  if (smart_quotes) doc->push_back(U'“');
-  doc->append(GenerateTitle(page.language, rng));
-  if (smart_quotes) doc->push_back(U'”');
-  AppendAscii("</title>\n</head>\n<body>\n", doc);
-}
+
+  // Prose, one anchor per outlink with anchor text in the page's
+  // language, more prose.
+  void Body() {
+    // The longest chunk: the second prose half, which a run of katakana
+    // or digits can overshoot by a few characters.
+    chunk_.reserve(page_.content_chars - page_.content_chars / 2 + 32);
+    encoder_.AppendAscii("<p>");
+    Text(page_.content_chars / 2);
+    encoder_.AppendAscii("</p>\n");
+    const auto links = graph_.outlinks(id_);
+    if (!links.empty()) {
+      encoder_.AppendAscii("<ul>\n");
+      for (PageId target : links) {
+        encoder_.AppendAscii("<li><a href=\"");
+        graph_.AppendUrlOf(target, encoder_.ascii_out());
+        encoder_.AppendAscii("\">");
+        chunk_.clear();
+        AppendTitle(page_.language, &rng_, &chunk_);
+        encoder_.Append(chunk_);
+        encoder_.AppendAscii("</a></li>\n");
+      }
+      encoder_.AppendAscii("</ul>\n");
+    }
+    encoder_.AppendAscii("<p>");
+    Text(page_.content_chars - page_.content_chars / 2);
+    encoder_.AppendAscii("</p>\n</body>\n</html>\n");
+  }
+
+  Status Finish() { return encoder_.Finish(); }
+
+ private:
+  void Text(size_t chars) {
+    chunk_.clear();
+    AppendText(page_.language, chars, &rng_, &chunk_);
+    encoder_.Append(chunk_);
+  }
+
+  const WebGraph& graph_;
+  const PageId id_;
+  const PageRecord& page_;
+  Rng rng_;
+  TextEncoder encoder_;
+  std::u32string chunk_;
+};
 
 }  // namespace
 
 StatusOr<std::string> RenderPageHead(const WebGraph& graph, PageId id) {
-  const PageRecord& page = graph.page(id);
-  Rng rng(ContentSeed(graph, id));
-  std::u32string doc;
-  BuildHead(graph, id, &rng, &doc);
-  return EncodeText(page.true_encoding, doc);
+  std::string head;
+  PageWriter writer(graph, id, &head);
+  writer.Head();
+  LSWC_RETURN_IF_ERROR(writer.Finish());
+  return head;
 }
 
 StatusOr<std::string> RenderPageBody(const WebGraph& graph, PageId id) {
@@ -59,36 +109,17 @@ StatusOr<std::string> RenderPageBody(const WebGraph& graph, PageId id) {
         "<body><h1>HTTP " +
         std::to_string(page.http_status) + "</h1></body></html>\n");
   }
-  Rng rng(ContentSeed(graph, id));
-  std::u32string doc;
-  doc.reserve(page.content_chars + 512);
-  BuildHead(graph, id, &rng, &doc);
-
-  // Prose before the link list.
-  AppendAscii("<p>", &doc);
-  doc.append(GenerateText(page.language, page.content_chars / 2, &rng));
-  AppendAscii("</p>\n", &doc);
-
-  // One anchor per outlink, with anchor text in the page's language.
-  const auto links = graph.outlinks(id);
-  if (!links.empty()) {
-    AppendAscii("<ul>\n", &doc);
-    for (PageId target : links) {
-      AppendAscii("<li><a href=\"", &doc);
-      AppendAscii(graph.UrlOf(target), &doc);
-      AppendAscii("\">", &doc);
-      doc.append(GenerateTitle(page.language, &rng));
-      AppendAscii("</a></li>\n", &doc);
-    }
-    AppendAscii("</ul>\n", &doc);
-  }
-
-  AppendAscii("<p>", &doc);
-  doc.append(GenerateText(
-      page.language, page.content_chars - page.content_chars / 2, &rng));
-  AppendAscii("</p>\n</body>\n</html>\n", &doc);
-
-  return EncodeText(page.true_encoding, doc);
+  std::string body;
+  // Up to 3 bytes a character (UTF-8) plus the markup.
+  body.reserve(3 * page.content_chars + 96 * graph.outlinks(id).size() + 512);
+  PageWriter writer(graph, id, &body);
+  writer.Head();
+  writer.Body();
+  LSWC_RETURN_IF_ERROR(writer.Finish());
+  // The sharded engine holds a round of fetched bodies at once; return
+  // none of the room reserved above.
+  body.shrink_to_fit();
+  return body;
 }
 
 }  // namespace lswc

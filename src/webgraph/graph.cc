@@ -1,5 +1,7 @@
 #include "webgraph/graph.h"
 
+#include <charconv>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -20,18 +22,44 @@ std::string_view HostSuffix(Language lang) {
   }
   return "example.test";
 }
+
+void AppendDecimal(uint32_t value, std::string* out) {
+  char digits[10];
+  const auto end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out->append(digits, end);
+}
 }  // namespace
 
 std::string WebGraph::HostName(uint32_t host_id) const {
-  return StringPrintf("www%u.%s", host_id,
-                      std::string(HostSuffix(hosts_[host_id].language)).c_str());
+  std::string name;
+  AppendHostName(host_id, &name);
+  return name;
+}
+
+void WebGraph::AppendHostName(uint32_t host_id, std::string* out) const {
+  out->append("www");
+  AppendDecimal(host_id, out);
+  out->push_back('.');
+  out->append(HostSuffix(hosts_[host_id].language));
 }
 
 std::string WebGraph::UrlOf(PageId id) const {
-  const uint32_t host_id = pages_[id].host;
+  std::string url;
+  AppendUrlOf(id, &url);
+  return url;
+}
+
+void WebGraph::AppendUrlOf(PageId id, std::string* out) const {
+  out->append("http://");
+  AppendHostName(pages_[id].host, out);
   const uint32_t k = PageIndexInHost(id);
-  if (k == 0) return "http://" + HostName(host_id) + "/";
-  return StringPrintf("http://%s/p%u.html", HostName(host_id).c_str(), k);
+  if (k == 0) {
+    out->push_back('/');
+    return;
+  }
+  out->append("/p");
+  AppendDecimal(k, out);
+  out->append(".html");
 }
 
 DatasetStats WebGraph::ComputeStats() const {

@@ -68,11 +68,15 @@ class WebGraph {
   /// Hostname, derived from host id and host language, e.g.
   /// "www42.example-th.test".
   std::string HostName(uint32_t host_id) const;
+  /// Appends HostName(host_id) to `out`.
+  void AppendHostName(uint32_t host_id, std::string* out) const;
 
   /// Canonical URL of a page: "http://<host>/" for a host's first page,
   /// otherwise "http://<host>/p<k>.html" where k is the page's index
   /// within its host.
   std::string UrlOf(PageId id) const;
+  /// Appends UrlOf(id) to `out`, for renderers building a page in place.
+  void AppendUrlOf(PageId id, std::string* out) const;
 
   /// Seed URLs chosen when the graph was built (crawl starting points).
   std::span<const PageId> seeds() const { return seeds_; }

@@ -66,6 +66,42 @@ TEST(JisMappingTest, RoundTripRepertoire) {
   }
 }
 
+// The whole repertoire in both directions: every mapped code inverts
+// exactly, no other BMP codepoint maps, and an FNV-1a hash over the
+// (kuten, codepoint) pairs pins the mapping itself.
+TEST(JisMappingTest, WholeRepertoireIsPinned) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      hash ^= (v >> (8 * i)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  int mapped = 0;
+  for (int row = 1; row <= 94; ++row) {
+    for (int cell = 1; cell <= 94; ++cell) {
+      char32_t cp = 0;
+      if (!JisToUnicode(JisCode{row, cell}, &cp)) continue;
+      ++mapped;
+      JisCode back;
+      ASSERT_TRUE(UnicodeToJis(cp, &back)) << row << "-" << cell;
+      EXPECT_EQ(back.row, row);
+      EXPECT_EQ(back.cell, cell);
+      mix(static_cast<uint32_t>(row * 100 + cell));
+      mix(static_cast<uint32_t>(cp));
+    }
+  }
+  int encodable = 0;
+  for (char32_t cp = 0; cp <= 0xFFFF; ++cp) {
+    JisCode jis;
+    if (UnicodeToJis(cp, &jis)) ++encodable;
+  }
+  // 83 hiragana, 86 katakana, 12 row-1 marks, 60 kanji.
+  EXPECT_EQ(mapped, 241);
+  EXPECT_EQ(encodable, 241);
+  EXPECT_EQ(hash, 0x5230993c2c5d49eeULL);
+}
+
 TEST(JisMappingTest, OutOfRangeRejected) {
   char32_t cp;
   EXPECT_FALSE(JisToUnicode(JisCode{0, 1}, &cp));
@@ -76,6 +112,77 @@ TEST(JisMappingTest, OutOfRangeRejected) {
 }
 
 // ------------------------------------------------- Japanese byte streams
+
+// ------------------------------------------------------ streaming encoder
+
+// Chunk boundaries do not show in the bytes: ISO-2022-JP's shift state
+// carries from one Append to the next, and ASCII in between shifts out.
+TEST(TextEncoderTest, ChunkedEqualsWhole) {
+  const std::u32string text = U"aあい。b日本c";
+  for (const Encoding e : {Encoding::kEucJp, Encoding::kShiftJis,
+                           Encoding::kIso2022Jp, Encoding::kUtf8}) {
+    const auto whole = EncodeText(e, text);
+    ASSERT_TRUE(whole.ok());
+    for (size_t cut = 0; cut <= text.size(); ++cut) {
+      std::string out;
+      TextEncoder encoder(e, &out);
+      encoder.Append(std::u32string_view(text).substr(0, cut));
+      encoder.Append(std::u32string_view(text).substr(cut));
+      ASSERT_TRUE(encoder.Finish().ok());
+      EXPECT_EQ(out, *whole) << EncodingName(e) << " cut " << cut;
+    }
+  }
+  std::string out;
+  TextEncoder encoder(Encoding::kIso2022Jp, &out);
+  encoder.Append(U"あ");
+  encoder.AppendAscii("<p>");
+  encoder.Append(U"い");
+  ASSERT_TRUE(encoder.Finish().ok());
+  EXPECT_EQ(out, *EncodeText(Encoding::kIso2022Jp, U"あ<p>い"));
+}
+
+TEST(TextEncoderTest, FinishNamesTheFirstUnencodableCodepoint) {
+  std::string out;
+  TextEncoder encoder(Encoding::kTis620, &out);
+  encoder.Append(U"ก€");
+  encoder.AppendAscii("x");
+  encoder.Append(U"…");
+  const Status status = encoder.Finish();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("U+20AC"), std::string::npos) << status;
+  EXPECT_NE(status.ToString().find("TIS-620"), std::string::npos) << status;
+}
+
+// Why the visitor parses every page in its own bytes except an
+// ISO-2022-JP one: in every other encoding, no non-ASCII character of
+// the repertoire encodes to a byte HTML markup is made of, while JIS
+// pairs in ISO-2022-JP are 7-bit and can (ぜ is "$<").
+TEST(CodecTest, OnlyIso2022JpTextCanFormMarkupBytes) {
+  auto is_markup = [](char c) {
+    const auto b = static_cast<unsigned char>(c);
+    return b <= 0x20 || std::string_view("<>\"'=&/").find(c) !=
+                            std::string_view::npos;
+  };
+  for (const Encoding e :
+       {Encoding::kUtf8, Encoding::kLatin1, Encoding::kEucJp,
+        Encoding::kShiftJis, Encoding::kTis620, Encoding::kWindows874}) {
+    int encodable = 0;
+    for (char32_t cp = 0x80; cp <= 0xFFFF; ++cp) {
+      if (!CanEncode(e, cp)) continue;
+      ++encodable;
+      const auto bytes = EncodeText(e, std::u32string(1, cp));
+      ASSERT_TRUE(bytes.ok()) << EncodingName(e) << " " << uint32_t{cp};
+      for (const char c : *bytes) {
+        EXPECT_FALSE(is_markup(c))
+            << EncodingName(e) << " U+" << std::hex << uint32_t{cp};
+      }
+    }
+    EXPECT_GT(encodable, 60) << EncodingName(e);
+  }
+  const auto ze = EncodeText(Encoding::kIso2022Jp, U"ぜ");
+  ASSERT_TRUE(ze.ok());
+  EXPECT_EQ(*ze, "\x1b$B$<\x1b(B");
+}
 
 TEST(EucJpCodecTest, KnownBytes) {
   // 日本 = EUC-JP C6 FC CB DC.

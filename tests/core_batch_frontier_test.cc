@@ -220,5 +220,91 @@ TEST(BatchFrontierTest, RestoreRejectsMismatchedScorer) {
   EXPECT_NE(message.find("'test-other'"), std::string::npos) << message;
 }
 
+// A hand-written payload for a batch_k=4 "test-priority" frontier:
+// pending `urls` at `seqs` (priority 1, relevant referrer), then the
+// in-flight batch.
+snapshot::SectionWriter Payload(uint64_t next_seq,
+                                const std::vector<uint32_t>& urls,
+                                const std::vector<uint64_t>& seqs,
+                                const std::vector<uint32_t>& batched = {}) {
+  snapshot::SectionWriter w;
+  w.U32(4);
+  w.Str("test-priority");
+  w.U64(next_seq);
+  w.U64(urls.size() + batched.size());
+  w.U32Vec(urls);
+  w.U64Vec(seqs);
+  w.I16Vec(std::vector<int16_t>(urls.size(), 1));
+  w.U8Vec(std::vector<uint8_t>(urls.size(), 0));
+  w.BoolVec(std::vector<bool>(urls.size(), true));
+  w.F64Vec(std::vector<double>(urls.size(), 1.0));
+  w.U32Vec(batched);
+  return w;
+}
+
+Status RestorePayload(const snapshot::SectionWriter& w,
+                      BatchFrontier* frontier) {
+  snapshot::SectionReader r(w.data().data(), w.size());
+  return frontier->Restore(&r);
+}
+
+TEST(BatchFrontierTest, RestoreAcceptsAWellFormedPayload) {
+  BatchFrontier frontier(4, MakePriorityScorer());
+  const Status status =
+      RestorePayload(Payload(8, {1, 2}, {3, 7}, {5}), &frontier);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(frontier.size(), 3u);
+  EXPECT_EQ(Drain(&frontier), (std::vector<PageId>{5, 1, 2}));
+}
+
+// Equal scores tie on seq: two entries with one seq have no order.
+TEST(BatchFrontierTest, RestoreRejectsARepeatedSequenceNumber) {
+  BatchFrontier frontier(4, MakePriorityScorer());
+  const Status status = RestorePayload(Payload(6, {1, 2}, {5, 5}), &frontier);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status;
+  EXPECT_EQ(frontier.size(), 0u);
+}
+
+// The next push takes next_seq, which must not collide with, or sort
+// before, a restored entry.
+TEST(BatchFrontierTest, RestoreRejectsASequenceNumberPastNextSeq) {
+  BatchFrontier frontier(4, MakePriorityScorer());
+  for (const uint64_t next_seq : {3u, 5u}) {
+    const Status status =
+        RestorePayload(Payload(next_seq, {1, 2}, {4, 5}), &frontier);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption)
+        << "next_seq " << next_seq << ": " << status;
+  }
+  EXPECT_EQ(frontier.size(), 0u);
+}
+
+// Restore fails without modifying state (the Frontier contract): every
+// rejected payload leaves the frontier's entries, batch and next
+// sequence as they were.
+TEST(BatchFrontierTest, FailedRestoreLeavesTheFrontierUnchanged) {
+  BatchFrontier frontier(4, MakePriorityScorer());
+  BatchFrontier reference(4, MakePriorityScorer());
+  for (BatchFrontier* f : {&frontier, &reference}) {
+    f->PushScored(10, 1, Context());
+    f->PushScored(11, 2, Context());
+  }
+  const snapshot::SectionWriter bad_payloads[] = {
+      Payload(2, {1, 1}, {0, 1}),       // Repeated URL.
+      Payload(2, {1}, {0}, {1}),        // Batched URL also pending.
+      Payload(2, {1, 2}, {0, 0}),       // Repeated seq.
+      Payload(1, {1, 2}, {0, 1}),       // Seq past next_seq.
+      Payload(2, {1, 2}, {0, 1, 2}),    // Arrays disagree.
+  };
+  for (const snapshot::SectionWriter& payload : bad_payloads) {
+    EXPECT_EQ(RestorePayload(payload, &frontier).code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ(frontier.size(), 2u);
+  }
+  // A later push lands after the original entries in seq order.
+  frontier.PushScored(12, 1, Context());
+  reference.PushScored(12, 1, Context());
+  EXPECT_EQ(Drain(&frontier), Drain(&reference));
+}
+
 }  // namespace
 }  // namespace lswc

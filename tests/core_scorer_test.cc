@@ -202,5 +202,20 @@ TEST(CompositeScorerTest, SpecErrorsNameTheOffendingToken) {
       << unknown;
 }
 
+// A NaN score breaks the strict weak order selection sorts by, and an
+// infinite weight gives one (inf x 0 for an irrelevant referrer).
+TEST(CompositeScorerTest, NonFiniteWeightsAreRejected) {
+  for (const std::string spec :
+       {"lang:nan", "lang:inf,parent:1", "lang:-inf", "lang:1e400"}) {
+    const auto composite = MakeCompositeScorer(spec, ScorerEnv{});
+    ASSERT_FALSE(composite.ok()) << spec;
+    EXPECT_EQ(composite.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = composite.status().ToString();
+    EXPECT_NE(message.find("'lang'"), std::string::npos) << message;
+    EXPECT_NE(message.find("non-finite"), std::string::npos) << message;
+    EXPECT_NE(message.find("'" + spec + "'"), std::string::npos) << message;
+  }
+}
+
 }  // namespace
 }  // namespace lswc

@@ -42,6 +42,32 @@ uint64_t HashSeries(const Series& s) {
   return h;
 }
 
+// A shard slice's level front must be its oldest entry (the merge pops
+// by level, then seq). A payload out of sequence order is Corruption,
+// and a failed restore leaves the slice as it was.
+TEST(ShardFrontierTest, RestoreRejectsALevelOutOfSequenceOrder) {
+  ShardFrontier slice(2);
+  slice.Push(7, 1, 3);
+  slice.Push(8, 0, 4);
+
+  snapshot::SectionWriter w;
+  w.U64(2);  // Levels.
+  w.U64(2);  // Level 1: two entries, seq 9 before seq 6.
+  w.U64(9);
+  w.U32(1);
+  w.U64(6);
+  w.U32(2);
+  w.U64(0);  // Level 0: empty.
+  snapshot::SectionReader r(w.data().data(), w.size());
+  EXPECT_EQ(slice.Restore(&r).code(), StatusCode::kCorruption);
+
+  ASSERT_EQ(slice.size(), 2u);
+  const auto head = slice.PeekHead();
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(head->url, 7u);
+  EXPECT_EQ(head->seq, 3u);
+}
+
 // The host hash is a pure function of the name, and a realistic host
 // population lands on every shard.
 TEST(ShardRouterTest, HostHashIsStableAndSpreads) {

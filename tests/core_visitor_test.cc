@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "charset/codec.h"
+#include "html/link_extractor.h"
 #include "tests/test_util.h"
 #include "util/series.h"
 #include "webgraph/generator.h"
@@ -97,6 +99,90 @@ TEST(VisitorSmallGraphTest, NonOkPageYieldsNoLinksAndNoJudgment) {
   EXPECT_FALSE(result.response.ok());
   EXPECT_TRUE(result.links.empty());
   EXPECT_FALSE(result.judgment.relevant);
+}
+
+// Reports one fixed encoding for every page, relevant or not.
+class FixedEncodingClassifier final : public Classifier {
+ public:
+  explicit FixedEncodingClassifier(Encoding encoding) : encoding_(encoding) {}
+  RelevanceJudgment Judge(const FetchResponse& response) override {
+    (void)response;
+    RelevanceJudgment judgment;
+    judgment.encoding = encoding_;
+    return judgment;
+  }
+  Language target_language() const override { return Language::kJapanese; }
+  std::string name() const override { return "fixed"; }
+
+ private:
+  Encoding encoding_;
+};
+
+// The parse path as it was when every believed encoding decoded: decode
+// the body with the classifier's encoding (the declared charset when it
+// has none), parse the UTF-8 on success and the raw bytes on failure.
+std::vector<PageId> DecodingPathLinks(const WebGraph& graph,
+                                      const VisitResult& result,
+                                      uint64_t* unresolved) {
+  Encoding believed = result.judgment.encoding;
+  if (believed == Encoding::kUnknown) believed = result.response.meta_charset;
+  std::string html = result.response.body;
+  if (believed != Encoding::kUnknown) {
+    auto text = DecodeText(believed, result.response.body);
+    if (text.ok()) html = EncodeUtf8(*text);
+  }
+  LinkExtractorOptions options;
+  options.collect_anchor_text = false;
+  std::vector<PageId> links;
+  for (const ExtractedLink& link :
+       ExtractLinks(graph.UrlOf(result.response.page), html, options)) {
+    PageId child;
+    if (graph.ResolveUrl(link.url, &child)) {
+      links.push_back(child);
+    } else {
+      ++*unresolved;
+    }
+  }
+  return links;
+}
+
+// Only an ISO-2022-JP belief decodes before extraction; every other
+// belief parses the raw bytes. Whatever the belief and the page's true
+// encoding, the links must be those of the decoding path.
+void ExpectRawBytesFindDecodedLinks(const WebGraph& graph) {
+  InMemoryLinkDb db(&graph);
+  VirtualWebSpace web(&graph, &db, RenderMode::kFull);
+  for (int e = 0; e < static_cast<int>(Encoding::kNumEncodings); ++e) {
+    const Encoding believed = static_cast<Encoding>(e);
+    FixedEncodingClassifier classifier(believed);
+    Visitor visitor(&web, &classifier, /*parse_html=*/true);
+    VisitResult result;
+    uint64_t pages = 0;
+    uint64_t unresolved = 0;
+    for (PageId p = 0; p < graph.num_pages(); ++p) {
+      if (!graph.page(p).ok()) continue;
+      ++pages;
+      ASSERT_TRUE(visitor.Visit(p, &result).ok()) << p;
+      EXPECT_EQ(result.links, DecodingPathLinks(graph, result, &unresolved))
+          << "page " << p << " believed " << EncodingName(believed)
+          << " true " << EncodingName(graph.page(p).true_encoding);
+    }
+    EXPECT_GT(pages, 1000u);
+    EXPECT_EQ(visitor.unresolved_links(), unresolved)
+        << EncodingName(believed);
+  }
+}
+
+TEST(VisitorParseModeTest, RawBytesFindDecodedLinksOnJapaneseGraph) {
+  auto graph = GenerateWebGraph(JapaneseLikeOptions(2000));
+  ASSERT_TRUE(graph.ok());
+  ExpectRawBytesFindDecodedLinks(*graph);
+}
+
+TEST(VisitorParseModeTest, RawBytesFindDecodedLinksOnThaiGraph) {
+  auto graph = GenerateWebGraph(ThaiLikeOptions(2000));
+  ASSERT_TRUE(graph.ok());
+  ExpectRawBytesFindDecodedLinks(*graph);
 }
 
 TEST(MergeSeriesTest, ResamplesWithHeldFinalValues) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.h"
+#include "util/series.h"
 #include "webgraph/crawl_log.h"
 #include "webgraph/generator.h"
 
@@ -26,9 +27,10 @@ class IntegrationTest : public ::testing::Test {
 };
 
 TEST_F(IntegrationTest, ParseHtmlModeMatchesTraceMode) {
-  // The visitor's parse mode decodes rendered bytes, extracts anchors,
-  // canonicalizes and resolves them back to log entries; the resulting
-  // crawl must be identical to replaying the link database.
+  // The visitor's parse mode extracts anchors from the rendered bytes
+  // (decoding first only pages it believes are ISO-2022-JP),
+  // canonicalizes them and resolves them back to log entries; the
+  // resulting crawl must be identical to replaying the link database.
   MetaTagClassifier classifier(Language::kThai);
   const SoftFocusedStrategy strategy;
 
@@ -47,6 +49,38 @@ TEST_F(IntegrationTest, ParseHtmlModeMatchesTraceMode) {
   EXPECT_EQ(parsed->summary.max_queue_size, trace->summary.max_queue_size);
   EXPECT_DOUBLE_EQ(parsed->summary.final_coverage_pct,
                    trace->summary.final_coverage_pct);
+}
+
+// The Japanese pipeline of Fig 4: the detector judges rendered bytes in
+// all three Japanese encodings, and the parse path must find exactly the
+// link database's links, serially and on the sharded engine.
+TEST(JapaneseIntegrationTest, ParseHtmlModeMatchesTraceMode) {
+  auto graph = GenerateWebGraph(JapaneseLikeOptions(4000));
+  ASSERT_TRUE(graph.ok());
+  DetectorClassifier classifier(Language::kJapanese);
+  const SoftFocusedStrategy strategy;
+  for (const uint32_t shards : {0u, 2u}) {
+    SimulationOptions trace_options;
+    trace_options.shards = shards;
+    auto trace = RunSimulation(*graph, &classifier, strategy,
+                               RenderMode::kFull, trace_options);
+    ASSERT_TRUE(trace.ok()) << trace.status();
+
+    SimulationOptions parse_options = trace_options;
+    parse_options.parse_html = true;
+    auto parsed = RunSimulation(*graph, &classifier, strategy,
+                                RenderMode::kFull, parse_options);
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+    EXPECT_GT(trace->summary.pages_crawled, 1000u) << "shards " << shards;
+    EXPECT_EQ(parsed->summary.pages_crawled, trace->summary.pages_crawled)
+        << "shards " << shards;
+    EXPECT_EQ(parsed->summary.relevant_crawled,
+              trace->summary.relevant_crawled)
+        << "shards " << shards;
+    EXPECT_EQ(Fnv1aHash(parsed->series), Fnv1aHash(trace->series))
+        << "shards " << shards;
+  }
 }
 
 TEST_F(IntegrationTest, ParseHtmlRequiresFullRender) {

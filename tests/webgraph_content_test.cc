@@ -120,6 +120,44 @@ TEST_F(ContentGenTest, HeadIsPrefixLike) {
   }
 }
 
+// FNV-1a over every page's rendered body and head, each followed by a
+// 0xFF byte (never present in a rendered page) so that documents cannot
+// run into each other. Pins the renderer byte for byte: the detector
+// results of Fig 4 and Table 1 are functions of these bytes.
+uint64_t RenderingHash(const WebGraph& graph) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    h ^= 0xFF;
+    h *= 0x100000001b3ULL;
+  };
+  for (PageId p = 0; p < graph.num_pages(); ++p) {
+    auto body = RenderPageBody(graph, p);
+    auto head = RenderPageHead(graph, p);
+    EXPECT_TRUE(body.ok()) << "page " << p;
+    EXPECT_TRUE(head.ok()) << "page " << p;
+    if (!body.ok() || !head.ok()) return 0;
+    mix(*body);
+    mix(*head);
+  }
+  return h;
+}
+
+TEST(ContentGenPinTest, JapaneseRenderingIsPinned) {
+  auto graph = GenerateWebGraph(JapaneseLikeOptions(2000));
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(RenderingHash(*graph), 0x6183b372f33e8356ULL);
+}
+
+TEST(ContentGenPinTest, ThaiRenderingIsPinned) {
+  auto graph = GenerateWebGraph(ThaiLikeOptions(2000));
+  ASSERT_TRUE(graph.ok());
+  EXPECT_EQ(RenderingHash(*graph), 0x960e092172c43233ULL);
+}
+
 TEST_F(ContentGenTest, NonOkPagesRenderErrorBody) {
   for (PageId p = 0; p < graph_.num_pages(); ++p) {
     if (graph_.page(p).ok()) continue;

@@ -114,6 +114,19 @@ def main():
     check("unknown scorer is named", "nope" in r.stderr,
           f"stderr: {r.stderr!r}")
 
+    # Non-finite weights would make NaN scores, which have no order.
+    for weights in ("lang:nan", "lang:inf,parent:1", "lang:-inf",
+                    "lang:1e400"):
+        r = run(binary, "--dataset=thai", "--pages=1500", "--strategy=soft",
+                "--frontier=batch", "--scorers=" + weights)
+        check(f"scorer weights {weights} exit 1", r.returncode == 1,
+              f"exit {r.returncode}, stderr {r.stderr!r}")
+        token = weights.split(",")[0]
+        check(f"scorer weights {weights} name the token",
+              "non-finite weight '%s'" % token.split(":")[1] in r.stderr
+              and "'lang'" in r.stderr,
+              f"stderr: {r.stderr!r}")
+
     r = run(binary, "--dataset=thai", "--pages=1500", "--strategy=soft",
             "--frontier=batch", "--batch-k=32",
             "--scorers=lang:1.0,indegree:0.5")
