@@ -1,9 +1,9 @@
 // Batch-selection regime vs the paper's pop-order strategies.
 //
 // The paper's five strategies (Fig 3 / Fig 7) pop one URL at a time in
-// priority order. The batch regime (Crawl4LLM-style) instead rescores
-// the whole pending set every iteration and crawls the top batch_k; a
-// smaller K tracks the scorer more tightly at a higher rescore cost.
+// priority order. The batch regime (Crawl4LLM-style) instead selects
+// the top batch_k pending URLs by score every iteration and crawls them;
+// a smaller K tracks the scorer more tightly with more selection rounds.
 // This harness sweeps K and the scorer spec against the pop-order
 // baselines on both datasets:
 //
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::Parse(argc, argv);
   BenchReport report = MakeReport("batch_selection_sweep", args);
 
-  std::printf("=== Batch selection sweep: top-K rescoring vs pop order ===\n");
+  std::printf("=== Batch selection sweep: top-K selection vs pop order ===\n");
 
   const BreadthFirstStrategy bfs;
   const HardFocusedStrategy hard;

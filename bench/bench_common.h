@@ -100,8 +100,8 @@ struct BenchArgs {
   std::string journal_dir;
   /// Run only the grid cells whose name contains this substring
   /// (empty = all cells). Lets CI gate one cell precisely — e.g. the
-  /// journal overhead gate runs `--only=batch-k16`, the cell whose
-  /// per-page rescoring work is representative of a real crawl step.
+  /// journal overhead gate runs `--only=batch-k16` and bounds the
+  /// journal's cost per record on it.
   std::string only;
 
   /// The worker count a runner built from these args will use.

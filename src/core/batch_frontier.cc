@@ -15,6 +15,13 @@ int16_t ClampPriority(int priority) {
   if (priority < INT16_MIN) return INT16_MIN;
   return static_cast<int16_t>(priority);
 }
+
+/// The heap comparator: `a` ranks after `b`, so the std:: heap
+/// algorithms keep the best candidate at the front.
+bool HeapOrder(const BatchFrontier::Candidate& a,
+               const BatchFrontier::Candidate& b) {
+  return b < a;
+}
 }  // namespace
 
 BatchFrontier::BatchFrontier(uint32_t select_k,
@@ -33,7 +40,7 @@ bool BatchFrontier::PushWithSeq(PageId url, int priority,
                                 const PushContext& context, uint64_t seq) {
   // A batched URL is committed to this iteration; the better referrer's
   // context is already recorded in CrawlState and would only be
-  // rescored after the URL was crawled anyway.
+  // scored after the URL was crawled anyway.
   if (in_batch_.count(url) != 0) return false;
   const auto [it, inserted] = pending_.try_emplace(url);
   Entry& entry = it->second;
@@ -45,6 +52,17 @@ bool BatchFrontier::PushWithSeq(PageId url, int priority,
   entry.inputs.annotation = context.annotation;
   entry.inputs.parent_relevant = context.parent_relevant;
   entry.inputs.parent_confidence = context.parent_confidence;
+  const double score = scorer_->Score(url, entry.inputs);
+  if (scored_urls_ != nullptr) scored_urls_->Increment();
+  // A re-push at an unchanged score keeps its heap element; a changed
+  // score kills the old element, which may be the front, and ranks the
+  // new one.
+  if (inserted || score != entry.score) {
+    entry.score = score;
+    heap_.push_back(Candidate{url, score, entry.seq});
+    std::push_heap(heap_.begin(), heap_.end(), HeapOrder);
+    if (!inserted) DropDeadFront();
+  }
   max_size_ = std::max(max_size_, size());
   return inserted;
 }
@@ -58,39 +76,70 @@ std::optional<PageId> BatchFrontier::Pop() {
   return url;
 }
 
+bool BatchFrontier::IsLive(const Candidate& candidate) const {
+  const auto it = pending_.find(candidate.url);
+  return it != pending_.end() && it->second.seq == candidate.seq &&
+         it->second.score == candidate.score;
+}
+
 std::vector<BatchFrontier::Candidate> BatchFrontier::TopCandidates(
     size_t k) const {
-  std::vector<Candidate> candidates;
-  candidates.reserve(pending_.size());
-  for (const auto& [url, entry] : pending_) {
-    candidates.push_back(
-        Candidate{url, scorer_->Score(url, entry.inputs), entry.seq});
+  // Best-first walk of the heap's tree: `open` holds the positions whose
+  // parents have been read, itself kept as a heap under the same order,
+  // so elements come out best first without touching the rest.
+  const auto open_order = [this](size_t a, size_t b) {
+    return HeapOrder(heap_[a], heap_[b]);
+  };
+  std::vector<size_t> open;
+  if (!heap_.empty()) open.push_back(0);
+  std::vector<Candidate> top;
+  while (top.size() < k && !open.empty()) {
+    std::pop_heap(open.begin(), open.end(), open_order);
+    const size_t at = open.back();
+    open.pop_back();
+    for (size_t child = 2 * at + 1;
+         child <= 2 * at + 2 && child < heap_.size(); ++child) {
+      open.push_back(child);
+      std::push_heap(open.begin(), open.end(), open_order);
+    }
+    const Candidate& candidate = heap_[at];
+    // Copies of one live element are equal under the order, so they
+    // come out in a row.
+    if (!IsLive(candidate) ||
+        (!top.empty() && top.back().url == candidate.url)) {
+      continue;
+    }
+    top.push_back(candidate);
   }
-  if (scored_urls_ != nullptr) scored_urls_->Add(candidates.size());
-  k = std::min(k, candidates.size());
-  std::partial_sort(candidates.begin(), candidates.begin() + k,
-                    candidates.end());
-  candidates.resize(k);
-  return candidates;
+  return top;
+}
+
+void BatchFrontier::Remove(PageId url) {
+  pending_.erase(url);
+  DropDeadFront();
+}
+
+void BatchFrontier::DropDeadFront() {
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), HeapOrder);
+    heap_.pop_back();
+  }
 }
 
 void BatchFrontier::Refill() {
   obs::ScopedStage stage(profiler_, obs::Stage::kRescore);
   if (rescore_rounds_ != nullptr) rescore_rounds_->Increment();
-  const size_t pending_before = pending_.size();
-  const std::vector<Candidate> selected = TopCandidates(select_k_);
-  if (journal_ != nullptr) {
-    journal_->BatchRound(pending_before, selected.size());
+  const size_t selected = std::min<size_t>(select_k_, pending_.size());
+  if (journal_ != nullptr) journal_->BatchRound(pending_.size(), selected);
+  for (uint32_t rank = 0; rank < selected; ++rank) {
+    // The front is live, so it is the best pending candidate.
+    const Candidate best = heap_.front();
+    if (journal_ != nullptr) JournalSelect(journal_, best, rank);
+    Remove(best.url);
+    batch_.push_back(best.url);
+    in_batch_.insert(best.url);
   }
-  uint32_t rank = 0;
-  for (const Candidate& candidate : selected) {
-    if (journal_ != nullptr) JournalSelect(journal_, candidate, rank);
-    ++rank;
-    pending_.erase(candidate.url);
-    batch_.push_back(candidate.url);
-    in_batch_.insert(candidate.url);
-  }
-  if (selected_urls_ != nullptr) selected_urls_->Add(selected.size());
+  if (selected_urls_ != nullptr) selected_urls_->Add(selected);
 }
 
 void BatchFrontier::JournalSelect(obs::JournalWriter* journal,
@@ -236,6 +285,14 @@ Status BatchFrontier::ReadState(snapshot::SectionReader* r,
 
 void BatchFrontier::AdoptState(State state) {
   pending_ = std::move(state.pending);
+  heap_.clear();
+  heap_.reserve(pending_.size());
+  for (auto& [url, entry] : pending_) {
+    entry.score = scorer_->Score(url, entry.inputs);
+    heap_.push_back(Candidate{url, entry.score, entry.seq});
+  }
+  if (scored_urls_ != nullptr) scored_urls_->Add(pending_.size());
+  std::make_heap(heap_.begin(), heap_.end(), HeapOrder);
   batch_ = std::move(state.batch);
   in_batch_ = std::move(state.in_batch);
   next_seq_ = state.next_seq;

@@ -5,17 +5,28 @@
 // `num_selected_docs_per_iter`): instead of popping a priority queue
 // one URL at a time, the frontier keeps every pending URL with the link
 // context of its best referrer, and each time the current batch runs
-// dry it *rescores the whole pending set* with a pluggable Scorer and
-// selects the top `select_k` URLs as the next iteration's batch.
+// dry it selects the top `select_k` pending URLs under a pluggable
+// Scorer as the next iteration's batch.
+//
+// A score is a pure function of (url, inputs), and the inputs change
+// only when the URL is pushed again, so each entry is scored once per
+// push or re-push and keeps that score. Selection reads the best
+// entries of a binary heap ordered by (score desc, seq asc) instead of
+// rescoring the pending set: a round costs O(select_k log n), not O(n).
+// A re-push that changes the score adds a heap element and leaves the
+// old one behind; an element is live only while it matches its pending
+// entry's (score, seq). Dead elements are dropped as soon as they
+// reach the front, so the front is always the best pending URL, and
+// TopCandidates skips the ones below it.
 //
 // Invariants the determinism contract rests on:
 //
 //  - The pending set is a map: a re-push through a better referrer
-//    updates the existing entry's context in place and keeps its
-//    original global push sequence, so every pending URL has exactly
-//    one entry and selection ties (equal scores) break on
+//    updates the existing entry's context and score in place and keeps
+//    its original global push sequence, so every pending URL has
+//    exactly one entry and selection ties (equal scores) break on
 //    (sequence asc) — a total order, making top-K independent of map
-//    iteration order.
+//    iteration order and of the heap's layout.
 //  - A URL selected into the batch is committed to: pushes for it are
 //    ignored until it is popped (its priority/annotation still live in
 //    CrawlState). Batched URLs are therefore crawled exactly once and
@@ -49,7 +60,7 @@ inline constexpr const char* kDefaultScorerSpec = "lang:1.0,parent:0.5";
 
 class BatchFrontier final : public Frontier {
  public:
-  /// One scored pending URL, as ranked by a rescore pass.
+  /// One scored pending URL, in selection order.
   struct Candidate {
     PageId url;
     double score;
@@ -79,7 +90,8 @@ class BatchFrontier final : public Frontier {
 
   void AttachObs(obs::MetricsRegistry* registry,
                  obs::TraceSink* trace) override;
-  /// Stage probe for rescore passes (not owned; may be null).
+  /// Stage probe for selection rounds, timed as the `rescore` stage
+  /// (not owned; may be null).
   void set_profiler(obs::StageProfiler* profiler) { profiler_ = profiler; }
   /// Decision journal (not owned; may be null). When set, Refill emits
   /// one batch-round record plus a selection record (with per-scorer
@@ -93,6 +105,8 @@ class BatchFrontier final : public Frontier {
   struct Entry {
     uint64_t seq = 0;
     ScoreInputs inputs;
+    /// Score() of `inputs`, taken when they were last set.
+    double score = 0.0;
   };
   /// A Save() payload, read and checked but not applied. Restore() is
   /// ReadState() then AdoptState(); the sharded scheduler reads every
@@ -109,6 +123,8 @@ class BatchFrontier final : public Frontier {
   /// scorer spec; Corruption when arrays disagree, a URL repeats, or a
   /// sequence number repeats or is not below the saved next_seq.
   Status ReadState(snapshot::SectionReader* r, State* state) const;
+  /// Replaces this frontier's state, scoring every adopted pending entry
+  /// (a snapshot records inputs, not scores).
   void AdoptState(State state);
 
   uint32_t select_k() const { return select_k_; }
@@ -120,22 +136,25 @@ class BatchFrontier final : public Frontier {
 
   // --- Sharded-engine surface (per-shard pending slice) ---
 
-  /// Push with an externally assigned global sequence. Returns true
-  /// when `seq` was consumed (a new entry); a re-push updates the
-  /// entry's context in place and returns false, as does a push for a
-  /// URL currently batched. The frontier's own next sequence (which a
-  /// snapshot records and Restore checks against) stays one past the
-  /// largest it has taken.
+  /// Push with an externally assigned global sequence; scores the URL's
+  /// new context. Returns true when `seq` was consumed (a new entry); a
+  /// re-push updates the entry's context and score in place and returns
+  /// false, as does a push for a URL currently batched (which is not
+  /// scored). The frontier's own next sequence (which a snapshot
+  /// records and Restore checks against) stays one past the largest it
+  /// has taken.
   bool PushWithSeq(PageId url, int priority, const PushContext& context,
                    uint64_t seq);
 
-  /// The `k` best pending URLs by (score desc, seq asc), scored fresh;
-  /// does not modify the frontier. Thread-safe against other shards'
-  /// concurrent TopCandidates (all state touched is this instance's).
+  /// The `k` best pending URLs by (score desc, seq asc), best first,
+  /// with the scores taken at their last push. Walks the heap's best k
+  /// elements, plus the dead ones among them, at O(log k) each; does
+  /// not modify the frontier.
   std::vector<Candidate> TopCandidates(size_t k) const;
 
-  /// Removes a pending URL chosen by the cross-shard merge.
-  void Remove(PageId url) { pending_.erase(url); }
+  /// Removes a pending URL (one chosen by the cross-shard merge, or by
+  /// Refill).
+  void Remove(PageId url);
 
   /// Journals the selection of pending `candidate` at `rank`, its score
   /// broken into per-scorer components. Call before Remove(): the
@@ -144,21 +163,34 @@ class BatchFrontier final : public Frontier {
                      uint32_t rank) const;
 
  private:
-  /// Rescores the pending set and moves the top `select_k_` URLs into
-  /// the batch.
+  /// Moves the top `select_k_` pending URLs into the batch.
   void Refill();
+  /// Whether a heap element still stands for its URL's pending entry:
+  /// false once the URL left the pending set or was re-pushed to
+  /// another score.
+  bool IsLive(const Candidate& candidate) const;
+  /// Pops dead elements off the heap's front until a live one is there.
+  void DropDeadFront();
 
   uint32_t select_k_;
   std::shared_ptr<const Scorer> scorer_;
   std::unordered_map<PageId, Entry> pending_;
+  /// Binary heap, best candidate at the front (see HeapOrder in the
+  /// .cc): every pending entry's current (score, seq) plus dead
+  /// elements of re-pushed or removed URLs. The front is kept live, so
+  /// it is the best pending URL. A re-push can return a URL to a score
+  /// it had, so a live element may appear twice; the copies are equal
+  /// under the order.
+  std::vector<Candidate> heap_;
   std::deque<PageId> batch_;
   std::unordered_set<PageId> in_batch_;
   uint64_t next_seq_ = 0;
   size_t max_size_ = 0;
   obs::StageProfiler* profiler_ = nullptr;
   obs::JournalWriter* journal_ = nullptr;
-  /// Obs counters (null when unattached): rescore passes, URLs scored
-  /// across all passes, URLs selected into batches.
+  /// Obs counters (null when unattached): selection rounds, Score()
+  /// calls (one per push or re-push, and one per adopted entry), URLs
+  /// selected into batches.
   obs::Counter* rescore_rounds_ = nullptr;
   obs::Counter* scored_urls_ = nullptr;
   obs::Counter* selected_urls_ = nullptr;

@@ -43,7 +43,7 @@ class Frontier {
   /// Enqueues with link context. The paper's pop-order frontiers ignore
   /// the context (priority already encodes the strategy's verdict), so
   /// the default forwards to Push; score-based frontiers override to
-  /// keep the context for rescoring.
+  /// keep the context for scoring.
   virtual void PushScored(PageId url, int priority,
                           const PushContext& context) {
     (void)context;

@@ -47,13 +47,13 @@ Status ValidateOptions(const FrontierOptions& options) {
     return Status::InvalidArgument(
         "frontier_capacity (=" + std::to_string(options.capacity) +
         ") is incompatible with the batch frontier: batch selection "
-        "rescores the complete pending set and never sheds URLs");
+        "ranks the complete pending set and never sheds URLs");
   }
   if (options.memory_budget > 0) {
     return Status::InvalidArgument(
         "frontier_memory_budget (=" + std::to_string(options.memory_budget) +
         ") is incompatible with the batch frontier: the pending set must "
-        "stay in memory for rescoring");
+        "stay in memory for ranking");
   }
   if (options.graph == nullptr) {
     return Status::InvalidArgument(

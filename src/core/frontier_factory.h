@@ -32,7 +32,7 @@ struct FrontierOptions {
   /// unique per-instance subdirectory under $TMPDIR (or /tmp), removed
   /// when the frontier is destroyed.
   std::string spill_dir;
-  /// Batch regime: URLs selected per rescore iteration (0 = default
+  /// Batch regime: URLs selected per iteration (0 = default
   /// kDefaultBatchK). Requires kind == "batch".
   uint32_t batch_k = 0;
   /// Batch regime: composite scorer spec ("lang:1.0,indegree:0.5";

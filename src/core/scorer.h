@@ -4,14 +4,16 @@
 // The pluggable scorer framework of the batch-selection crawl regime
 // (Crawl4LLM-style `rating_methods`). A Scorer rates one pending URL
 // from its link context and static graph features; the BatchFrontier
-// rescores its whole pending set with one (usually composite) scorer
-// and selects the top `batch_k` URLs per iteration.
+// scores each URL with one (usually composite) scorer when it is pushed
+// or re-pushed, and selects the top `batch_k` pending URLs per
+// iteration.
 //
 // Determinism contract: Score() must be a pure function of (url,
 // inputs, construction-time state) using only arithmetic that is
 // bit-reproducible across runs — no libm transcendentals, no global
 // state, no NaN results. The batch regime's bit-identical-across-shards
-// guarantee rests on this.
+// guarantee rests on this, and so does scoring once per push: a score
+// kept from the last push equals what a fresh call would return.
 
 #include <functional>
 #include <memory>
@@ -56,9 +58,8 @@ struct ScoreComponent {
   double raw = 0.0;
 };
 
-/// Rates one pending URL; higher is fetched sooner. Score() is const
-/// and must be thread-safe (shards rescore their pending slices in
-/// parallel through one shared scorer).
+/// Rates one pending URL; higher is fetched sooner. Score() is const;
+/// the sharded engine's pending slices share one instance.
 class Scorer {
  public:
   virtual ~Scorer() = default;

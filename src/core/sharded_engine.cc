@@ -17,18 +17,16 @@ namespace lswc {
 /// The frontier side of the sharded engine: one slice per shard behind
 /// the engine's scheduler port, with the global push sequence, the
 /// global size and (batch regime) the selected batch. Called only from
-/// the crawl loop's thread; a rescore ranks the slices on the pool.
+/// the crawl loop's thread.
 class ShardedScheduler final : public FrontierScheduler {
  public:
   ShardedScheduler(const ShardRouter* router,
                    std::vector<std::unique_ptr<ShardFrontier>> pop_slices,
                    std::vector<std::unique_ptr<BatchFrontier>> batch_slices,
-                   ThreadPool* pool, obs::RunObs* obs,
-                   obs::JournalWriter* journal)
+                   obs::RunObs* obs, obs::JournalWriter* journal)
       : router_(router),
         pop_(std::move(pop_slices)),
         batch_(std::move(batch_slices)),
-        pool_(pool),
         journal_(journal) {
     if (obs == nullptr) return;
     profiler_ = &obs->profiler;
@@ -37,10 +35,6 @@ class ShardedScheduler final : public FrontierScheduler {
       selected_urls_ = obs->registry.counter("frontier.selected_urls");
     }
   }
-
-  // Pool tasks hold `this`.
-  ShardedScheduler(const ShardedScheduler&) = delete;
-  ShardedScheduler& operator=(const ShardedScheduler&) = delete;
 
   void Push(PageId url, int priority) override {
     PushScored(url, priority, PushContext{});
@@ -224,14 +218,14 @@ class ShardedScheduler final : public FrontierScheduler {
   /// round commits up to min(`pop_budget`, `pages_left`) pages and plans
   /// as many uncrawled URLs by walking the merge order without popping.
   /// Batch regime: `pop_budget` does not apply; the round commits the
-  /// selected batch (rescoring first when it is spent), capped by
+  /// selected batch (selecting the next first when it is spent), capped by
   /// `pages_left`. Both are functions of global state only, so the
   /// visit work is partition-invariant.
   uint64_t PlanRound(uint64_t pop_budget, uint64_t pages_left,
                      const CrawlState& state,
                      const std::function<bool(PageId)>& plan) {
     if (!batch_.empty()) {
-      if (batch_queue_.empty()) Rescore();
+      if (batch_queue_.empty()) SelectBatch();
       if (batch_queue_.empty()) return 0;  // Pending set exhausted too.
       const uint64_t budget =
           std::min<uint64_t>(batch_queue_.size(), pages_left);
@@ -300,28 +294,19 @@ class ShardedScheduler final : public FrontierScheduler {
  private:
   uint32_t owner(PageId url) const { return router_->owner(url); }
 
-  /// Batch regime: rescores every slice in parallel, merges the
-  /// per-shard top-K lists into the global top K, and moves the winners
-  /// into the batch queue.
-  void Rescore() {
+  /// Batch regime: merges the slices' top-K lists into the global top
+  /// K and moves the winners into the batch queue.
+  void SelectBatch() {
     obs::ScopedStage stage(profiler_, obs::Stage::kRescore);
     if (rescore_rounds_ != nullptr) rescore_rounds_->Increment();
     const uint32_t select_k = batch_[0]->select_k();
-    // Parallel phase: each shard scores and ranks its own pending slice
-    // (pure reads of shard-local state plus shard-local obs counters).
-    std::vector<std::vector<BatchFrontier::Candidate>> tops(batch_.size());
-    for (size_t s = 0; s < batch_.size(); ++s) {
-      if (batch_[s]->pending_size() == 0) continue;
-      pool_->Submit([this, s, select_k, &tops] {
-        tops[s] = batch_[s]->TopCandidates(select_k);
-      });
-    }
-    pool_->Wait();
-    // Serial merge on the same (score desc, seq asc) total order the
-    // per-shard rankings used; sequences are globally unique, so the
-    // global top-K is independent of the partitioning.
+    // Merge on the same (score desc, seq asc) total order the slices
+    // rank by; sequences are globally unique, so the global top-K is
+    // independent of the partitioning.
     std::vector<BatchFrontier::Candidate> merged;
-    for (const auto& top : tops) {
+    for (const auto& slice : batch_) {
+      const std::vector<BatchFrontier::Candidate> top =
+          slice->TopCandidates(select_k);
       merged.insert(merged.end(), top.begin(), top.end());
     }
     std::sort(merged.begin(), merged.end());
@@ -349,7 +334,6 @@ class ShardedScheduler final : public FrontierScheduler {
   /// Exactly one of the two is non-empty, matching the regime.
   std::vector<std::unique_ptr<ShardFrontier>> pop_;
   std::vector<std::unique_ptr<BatchFrontier>> batch_;
-  ThreadPool* pool_;
   obs::JournalWriter* journal_;
   uint64_t next_seq_ = 0;  // Global push sequence counter.
   uint64_t size_ = 0;      // Pending across slices (+ batch queue).
@@ -581,16 +565,16 @@ ShardedCrawlEngine::ShardedCrawlEngine(
     for (uint32_t s = 0; s < router_.num_shards(); ++s) {
       shard_obs.push_back(std::make_unique<obs::RunObs>());
       // frontier.scored_urls lands on the shard registry (incremented
-      // from the shard's rescore task) and is summed into the parent
-      // when the run ends.
+      // by the slice's pushes) and is summed into the parent when the
+      // run ends.
       if (!batch_slices.empty()) {
         batch_slices[s]->AttachObs(&shard_obs[s]->registry, nullptr);
       }
     }
   }
   scheduler_ = std::make_unique<ShardedScheduler>(
-      &router_, std::move(pop_slices), std::move(batch_slices), &pool_,
-      options.obs, options.journal);
+      &router_, std::move(pop_slices), std::move(batch_slices), options.obs,
+      options.journal);
   planner_ = std::make_unique<ShardVisitPlanner>(
       &router_, scheduler_.get(), &pool_, web, classifier, options,
       std::move(shard_obs));

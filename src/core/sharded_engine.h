@@ -9,9 +9,8 @@
 //    with the next global push sequence; Next recovers the serial pop
 //    order by merging the slice heads on (priority level desc, sequence
 //    asc). In the batch regime each slice is a BatchFrontier pending
-//    set, a rescore ranks every slice in parallel and merges the
-//    per-shard top-K lists on (score desc, sequence asc), and Next pops
-//    the selected batch.
+//    set, a selection round merges the slices' top-K lists on (score
+//    desc, sequence asc), and Next pops the selected batch.
 //  - The visit planner (the engine's VisitPlanner) owns each shard's
 //    web-space view, classifier clone, visitor and obs bundle. At every
 //    round boundary it walks the upcoming pop order without popping,

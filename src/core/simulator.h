@@ -55,10 +55,10 @@ struct SimulationOptions : DriverOptions {
   /// snapshot fingerprint so a resume cannot cross datasets silently.
   std::string dataset_file;
   /// Frontier regime: "" or "pop" = the paper's pop-order frontiers;
-  /// "batch" = the batch-selection regime (rescore the pending set, pop
-  /// the top `batch_k` per iteration). See FrontierOptions::kind.
+  /// "batch" = the batch-selection regime (select the top `batch_k`
+  /// pending URLs by score, pop them, repeat). See FrontierOptions::kind.
   std::string frontier_kind;
-  /// Batch regime: URLs selected per rescore iteration (0 = default).
+  /// Batch regime: URLs selected per iteration (0 = default).
   /// Requires frontier_kind == "batch".
   uint32_t batch_k = 0;
   /// Batch regime: composite scorer spec, e.g. "lang:1.0,indegree:0.5"

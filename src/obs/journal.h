@@ -4,7 +4,7 @@
 // The crawl decision journal: an opt-in (--journal=FILE) append-only
 // binary record of *every* decision a crawl makes — seed pushes, link
 // enqueues/re-pushes/drops, fetches with their relevance verdicts,
-// batch rescore selections with per-scorer score components, and
+// batch selections with per-scorer score components, and
 // metric sample boundaries. One fixed-width 48-byte record per
 // decision, so a journal is a flat array that tools can binary-search,
 // diff byte-for-byte, and walk backwards through referrer links.
@@ -70,7 +70,7 @@ enum class JournalKind : uint8_t {
   kEnqueue = 3,         // First push of a URL into the frontier.
   kRePush = 4,          // Better-referrer re-push of a pending URL.
   kDrop = 5,            // Link rejected (reason in `extra`).
-  kBatchRound = 6,      // Batch regime: one rescore-and-select pass.
+  kBatchRound = 6,      // Batch regime: one selection round.
   kBatchSelect = 7,     // Batch regime: one URL selected into a batch.
   kScoreComponent = 8,  // Per-scorer contribution of a selection.
   kSample = 9,          // Metric series sample boundary.

@@ -47,7 +47,7 @@ enum class Stage : uint8_t {
   kSample,         // Observer bus sampling points.
   kCheckpoint,     // Snapshot writes.
   kMerge,          // Sharded engine: cross-shard deterministic merge-pop.
-  kRescore,        // Batch regime: rescore pending set + top-K selection.
+  kRescore,        // Batch regime: selecting the next top-K batch.
 };
 inline constexpr int kNumStages = 9;
 

@@ -40,8 +40,8 @@ struct CrawlFingerprint {
   // engine prefixes its base kind, e.g. "sharded-bucket").
   std::string scheduler_kind;
 
-  // Batch-selection regime identity: URLs selected per rescore
-  // iteration and the scorer spec (0 / empty outside the batch regime).
+  // Batch-selection regime identity: URLs selected per iteration and
+  // the scorer spec (0 / empty outside the batch regime).
   // A batch frontier's pending scores are a function of both, so a
   // snapshot resumed under different values would select different
   // batches.

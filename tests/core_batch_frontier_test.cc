@@ -1,13 +1,20 @@
 #include "core/batch_frontier.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "snapshot/section.h"
+#include "util/random.h"
+#include "webgraph/generator.h"
 
 namespace lswc {
 namespace {
@@ -78,6 +85,31 @@ TEST(BatchFrontierTest, RePushUpdatesContextInPlaceAndKeepsTheSequence) {
   ties.PushScored(12, 5, Context());
   ties.PushScored(11, 5, Context());
   EXPECT_EQ(Drain(&ties), (std::vector<PageId>{11, 12}));
+}
+
+// A lowered score is the case a stale ordered entry gets wrong: the URL
+// must fall behind the URLs it used to beat, and a URL re-pushed back to
+// a score it had before must still be selected once.
+TEST(BatchFrontierTest, RePushThatLowersTheScoreMovesTheUrlBack) {
+  BatchFrontier frontier(2, MakePriorityScorer());
+  frontier.PushScored(7, 9, Context());
+  frontier.PushScored(8, 5, Context());
+  frontier.PushScored(9, 3, Context());
+  frontier.PushScored(7, 1, Context());
+  EXPECT_EQ(frontier.size(), 3u);
+  EXPECT_EQ(Drain(&frontier), (std::vector<PageId>{8, 9, 7}));
+
+  BatchFrontier back(2, MakePriorityScorer());
+  back.PushScored(7, 9, Context());
+  back.PushScored(8, 5, Context());
+  back.PushScored(7, 1, Context());
+  back.PushScored(7, 9, Context());
+  const auto top = back.TopCandidates(3);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].url, 7u);
+  EXPECT_EQ(top[0].score, 9.0);
+  EXPECT_EQ(top[1].url, 8u);
+  EXPECT_EQ(Drain(&back), (std::vector<PageId>{7, 8}));
 }
 
 TEST(BatchFrontierTest, BatchedUrlsIgnorePushes) {
@@ -304,6 +336,264 @@ TEST(BatchFrontierTest, FailedRestoreLeavesTheFrontierUnchanged) {
   frontier.PushScored(12, 1, Context());
   reference.PushScored(12, 1, Context());
   EXPECT_EQ(Drain(&frontier), Drain(&reference));
+}
+
+// --- Differential test against a rescoring oracle ---
+
+using Ranked = std::tuple<PageId, double, uint64_t>;
+
+std::vector<Ranked> Ranks(const std::vector<BatchFrontier::Candidate>& top) {
+  std::vector<Ranked> ranks;
+  for (const auto& c : top) ranks.emplace_back(c.url, c.score, c.seq);
+  return ranks;
+}
+
+/// The reference selection: every round scores the whole pending set
+/// afresh and sorts it, with the frontier's push, re-push and batch
+/// rules.
+class RescoringOracle {
+ public:
+  RescoringOracle(uint32_t select_k, std::shared_ptr<const Scorer> scorer)
+      : select_k_(select_k), scorer_(std::move(scorer)) {}
+
+  void Push(PageId url, int priority, const PushContext& context) {
+    if (in_batch_.count(url) != 0) return;
+    const auto [it, inserted] = pending_.try_emplace(url);
+    if (inserted) it->second.seq = next_seq_++;
+    it->second.inputs =
+        ScoreInputs{static_cast<int16_t>(priority), context.annotation,
+                    context.parent_relevant, context.parent_confidence};
+  }
+
+  std::vector<BatchFrontier::Candidate> TopCandidates(size_t k) const {
+    std::vector<BatchFrontier::Candidate> all;
+    for (const auto& [url, entry] : pending_) {
+      all.push_back({url, scorer_->Score(url, entry.inputs), entry.seq});
+    }
+    std::sort(all.begin(), all.end());
+    if (all.size() > k) all.resize(k);
+    return all;
+  }
+
+  std::optional<PageId> Pop() {
+    if (batch_.empty()) {
+      for (const auto& c : TopCandidates(select_k_)) {
+        pending_.erase(c.url);
+        batch_.push_back(c.url);
+        in_batch_.insert(c.url);
+      }
+    }
+    if (batch_.empty()) return std::nullopt;
+    const PageId url = batch_.front();
+    batch_.pop_front();
+    in_batch_.erase(url);
+    return url;
+  }
+
+  size_t size() const { return pending_.size() + batch_.size(); }
+
+ private:
+  struct Entry {
+    uint64_t seq = 0;
+    ScoreInputs inputs;
+  };
+  uint32_t select_k_;
+  std::shared_ptr<const Scorer> scorer_;
+  std::unordered_map<PageId, Entry> pending_;
+  std::deque<PageId> batch_;
+  std::unordered_set<PageId> in_batch_;
+  uint64_t next_seq_ = 0;
+};
+
+std::unique_ptr<BatchFrontier> SaveAndRestore(
+    const BatchFrontier& frontier, std::shared_ptr<const Scorer> scorer) {
+  snapshot::SectionWriter w;
+  EXPECT_TRUE(frontier.Save(&w).ok());
+  snapshot::SectionReader r(w.data().data(), w.size());
+  auto restored =
+      std::make_unique<BatchFrontier>(frontier.select_k(), std::move(scorer));
+  const Status status = restored->Restore(&r);
+  EXPECT_TRUE(status.ok()) << status;
+  return restored;
+}
+
+/// The sharded scheduler's batch regime over `n` PushWithSeq slices:
+/// one global push sequence, slice = url % n, and a round that merges
+/// the slices' TopCandidates and Removes the winners.
+class SlicedFrontier {
+ public:
+  SlicedFrontier(uint32_t select_k, std::shared_ptr<const Scorer> scorer,
+                 size_t n)
+      : select_k_(select_k), scorer_(std::move(scorer)) {
+    for (size_t s = 0; s < n; ++s) {
+      slices_.push_back(std::make_unique<BatchFrontier>(select_k, scorer_));
+    }
+  }
+
+  void Push(PageId url, int priority, const PushContext& context) {
+    if (in_batch_.count(url) != 0) return;
+    if (slices_[url % slices_.size()]->PushWithSeq(url, priority, context,
+                                                   next_seq_)) {
+      ++next_seq_;
+    }
+  }
+
+  std::vector<BatchFrontier::Candidate> TopCandidates(size_t k) const {
+    std::vector<BatchFrontier::Candidate> merged;
+    for (const auto& slice : slices_) {
+      const auto top = slice->TopCandidates(k);
+      merged.insert(merged.end(), top.begin(), top.end());
+    }
+    std::sort(merged.begin(), merged.end());
+    if (merged.size() > k) merged.resize(k);
+    return merged;
+  }
+
+  std::optional<PageId> Pop() {
+    if (batch_.empty()) {
+      for (const auto& c : TopCandidates(select_k_)) {
+        slices_[c.url % slices_.size()]->Remove(c.url);
+        batch_.push_back(c.url);
+        in_batch_.insert(c.url);
+      }
+    }
+    if (batch_.empty()) return std::nullopt;
+    const PageId url = batch_.front();
+    batch_.pop_front();
+    in_batch_.erase(url);
+    return url;
+  }
+
+  size_t size() const {
+    size_t pending = 0;
+    for (const auto& slice : slices_) pending += slice->pending_size();
+    return pending + batch_.size();
+  }
+
+  void SaveAndRestoreSlices() {
+    for (auto& slice : slices_) slice = SaveAndRestore(*slice, scorer_);
+  }
+
+ private:
+  uint32_t select_k_;
+  std::shared_ptr<const Scorer> scorer_;
+  std::vector<std::unique_ptr<BatchFrontier>> slices_;
+  std::deque<PageId> batch_;
+  std::unordered_set<PageId> in_batch_;
+  uint64_t next_seq_ = 0;
+};
+
+/// One BatchFrontier behind the same interface.
+class SerialFrontier {
+ public:
+  SerialFrontier(uint32_t select_k, std::shared_ptr<const Scorer> scorer)
+      : scorer_(scorer),
+        frontier_(std::make_unique<BatchFrontier>(select_k, scorer)) {}
+
+  void Push(PageId url, int priority, const PushContext& context) {
+    frontier_->PushScored(url, priority, context);
+  }
+  std::vector<BatchFrontier::Candidate> TopCandidates(size_t k) const {
+    return frontier_->TopCandidates(k);
+  }
+  std::optional<PageId> Pop() { return frontier_->Pop(); }
+  size_t size() const { return frontier_->size(); }
+  void SaveAndRestoreSlices() {
+    frontier_ = SaveAndRestore(*frontier_, scorer_);
+  }
+
+ private:
+  std::shared_ptr<const Scorer> scorer_;
+  std::unique_ptr<BatchFrontier> frontier_;
+};
+
+/// Selection size of the differential runs, and how deep they compare.
+constexpr uint32_t kDifferentialK = 5;
+
+/// Random pushes, re-pushes and pops over a small graph's URLs, checked
+/// step by step against the oracle: the pending top-K (URL, score and
+/// sequence), every popped URL, and the size. The frontier is saved
+/// and restored halfway through.
+template <typename Frontier>
+void ExpectMatchesOracle(Frontier* frontier, RescoringOracle* oracle,
+                         uint32_t num_pages, uint64_t seed) {
+  constexpr int kSteps = 4000;
+  const double confidences[] = {0.25, 0.5, 0.75, 1.0};
+  Rng rng(seed);
+  int pops = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    if (step == kSteps / 2) frontier->SaveAndRestoreSlices();
+    if (rng.UniformUint64(5) < 3) {
+      const auto url = static_cast<PageId>(rng.UniformUint64(num_pages));
+      const int priority = static_cast<int>(rng.UniformUint64(4));
+      const PushContext context =
+          Context(static_cast<uint8_t>(rng.UniformUint64(4)),
+                  rng.UniformUint64(2) == 0,
+                  confidences[rng.UniformUint64(4)]);
+      frontier->Push(url, priority, context);
+      oracle->Push(url, priority, context);
+    } else {
+      ASSERT_EQ(frontier->Pop(), oracle->Pop()) << "step " << step;
+      ++pops;
+    }
+    ASSERT_EQ(Ranks(frontier->TopCandidates(kDifferentialK)),
+              Ranks(oracle->TopCandidates(kDifferentialK)))
+        << "step " << step;
+    ASSERT_EQ(frontier->size(), oracle->size()) << "step " << step;
+  }
+  EXPECT_GT(pops, kSteps / 4);
+}
+
+// `random` gives distinct scores that a re-push never moves; `lang` and
+// `parent` move them on re-push and tie often; `indegree` is the
+// benchmark's static term.
+const char* const kDifferentialSpecs[] = {
+    "random:1.0,lang:1.0", "lang:1.0,parent:0.5", "parent:1.0",
+    "lang:1.0,indegree:0.5"};
+
+class BatchFrontierDifferentialTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    auto g = GenerateWebGraph(ThaiLikeOptions(300, /*seed=*/3));
+    ASSERT_TRUE(g.ok()) << g.status();
+    graph_ = new WebGraph(std::move(g).value());
+  }
+  static void TearDownTestSuite() {
+    delete graph_;
+    graph_ = nullptr;
+  }
+
+  static std::shared_ptr<const Scorer> MakeScorer(const std::string& spec) {
+    auto scorer = MakeCompositeScorer(spec, ScorerEnv{graph_, /*seed=*/9});
+    EXPECT_TRUE(scorer.ok()) << scorer.status();
+    return std::shared_ptr<const Scorer>(std::move(scorer).value());
+  }
+
+  static const WebGraph* graph_;
+};
+
+const WebGraph* BatchFrontierDifferentialTest::graph_ = nullptr;
+
+TEST_F(BatchFrontierDifferentialTest, SerialSelectionMatchesTheOracle) {
+  uint64_t seed = 100;
+  for (const char* spec : kDifferentialSpecs) {
+    SCOPED_TRACE(spec);
+    const auto scorer = MakeScorer(spec);
+    SerialFrontier frontier(kDifferentialK, scorer);
+    RescoringOracle oracle(kDifferentialK, scorer);
+    ExpectMatchesOracle(&frontier, &oracle, graph_->num_pages(), ++seed);
+  }
+}
+
+TEST_F(BatchFrontierDifferentialTest, MergedSliceSelectionMatchesTheOracle) {
+  uint64_t seed = 200;
+  for (const char* spec : kDifferentialSpecs) {
+    SCOPED_TRACE(spec);
+    const auto scorer = MakeScorer(spec);
+    SlicedFrontier frontier(kDifferentialK, scorer, /*n=*/3);
+    RescoringOracle oracle(kDifferentialK, scorer);
+    ExpectMatchesOracle(&frontier, &oracle, graph_->num_pages(), ++seed);
+  }
 }
 
 }  // namespace

@@ -197,6 +197,17 @@ struct Golden {
   uint64_t series_hash;
 };
 
+// Names each case by its strategy, e.g. `soft` or `plimited-3`; gtest
+// would otherwise print the struct's bytes, padding included.
+void PrintTo(const Golden& golden, std::ostream* os) {
+  switch (golden.limited_n) {
+    case 0: *os << "bfs"; break;
+    case -1: *os << "hard"; break;
+    case -2: *os << "soft"; break;
+    default: *os << "plimited-" << golden.limited_n;
+  }
+}
+
 class CharacterizationTest : public ::testing::TestWithParam<Golden> {
  public:
   static void SetUpTestSuite() {

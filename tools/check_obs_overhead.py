@@ -13,13 +13,22 @@ compares the BEST pages/sec of each side — best-of-N is the standard
 answer to scheduler noise on shared CI runners, where single-run
 throughput jitters by more than the budget itself.
 
+With --records (the decision records one instrumented run writes, as
+`lswc_journal info` counts them) the gate bounds the instrumentation's
+own cost per record instead: (best instrumented crawl time - best
+baseline crawl time) / records must stay under --max-ns-per-record.
+That is the journal's gate: a fraction of throughput stops measuring
+the journal once the rest of the crawl step gets cheaper, while its
+cost per record does not depend on the rest of the step.
+
 Also asserts every report's per-run series hashes are identical across
 all reports on both sides: flipping observability must never change
 what the crawler does.
 
 Usage: check_obs_overhead.py --instrumented=BENCH.json [...]
                              --disabled=BENCH.json [...]
-                             [--max-overhead=0.05]
+                             [--max-overhead=0.05 |
+                              --records=N [--max-ns-per-record=200]]
 """
 
 import argparse
@@ -43,6 +52,39 @@ def best_pps(reports):
     return max(report.get("pages_per_sec", 0.0) for _, report in reports)
 
 
+def best_wall(reports):
+    return min(report.get("wall_time_sec", 0.0) for _, report in reports)
+
+
+def check_fraction(instrumented, disabled, max_overhead, best_of):
+    """The pages/sec gate; returns its failures."""
+    on_pps = best_pps(instrumented)
+    off_pps = best_pps(disabled)
+    floor = off_pps * (1.0 - max_overhead)
+    overhead = 1.0 - on_pps / off_pps if off_pps > 0 else 0.0
+    print(f"pages/sec: instrumented {on_pps:.0f}, disabled {off_pps:.0f} "
+          f"(overhead {overhead:+.1%}, budget {max_overhead:.0%})"
+          f"{best_of}")
+    if off_pps > 0 and on_pps < floor:
+        return [f"instrumented pages/sec {on_pps:.0f} < floor {floor:.0f} "
+                f"({max_overhead:.0%} of disabled {off_pps:.0f})"]
+    return []
+
+
+def check_per_record(instrumented, disabled, records, max_ns, best_of):
+    """The cost-per-record gate; returns its failures."""
+    on_s = best_wall(instrumented)
+    off_s = best_wall(disabled)
+    ns = (on_s - off_s) * 1e9 / records
+    print(f"crawl time: instrumented {on_s:.3f} s, disabled {off_s:.3f} s"
+          f"{best_of}: {ns:.0f} ns per record over {records} records "
+          f"(budget {max_ns:.0f} ns)")
+    if ns > max_ns:
+        return [f"instrumentation costs {ns:.0f} ns per record > "
+                f"{max_ns:.0f} ns"]
+    return []
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instrumented", required=True, action="append",
@@ -53,7 +95,15 @@ def main():
                              "(repeatable; best throughput is used)")
     parser.add_argument("--max-overhead", type=float, default=0.05,
                         help="max tolerated fractional pages/sec cost")
+    parser.add_argument("--records", type=int,
+                        help="records one instrumented run writes; gates "
+                             "the cost per record instead of pages/sec")
+    parser.add_argument("--max-ns-per-record", type=float, default=200.0,
+                        help="max tolerated crawl-time cost per record "
+                             "(with --records)")
     args = parser.parse_args()
+    if args.records is not None and args.records <= 0:
+        parser.error("--records must be > 0")
 
     instrumented = load(args.instrumented)
     disabled = load(args.disabled)
@@ -68,20 +118,15 @@ def main():
                 f"{hashes_of(report)} vs {ref_hashes} — instrumentation "
                 f"changed crawl behavior")
 
-    on_pps = best_pps(instrumented)
-    off_pps = best_pps(disabled)
-    floor = off_pps * (1.0 - args.max_overhead)
-    overhead = 1.0 - on_pps / off_pps if off_pps > 0 else 0.0
     best_of = (f" (best of {len(args.instrumented)}/{len(args.disabled)})"
                if len(args.instrumented) > 1 or len(args.disabled) > 1
                else "")
-    print(f"pages/sec: instrumented {on_pps:.0f}, disabled {off_pps:.0f} "
-          f"(overhead {overhead:+.1%}, budget {args.max_overhead:.0%})"
-          f"{best_of}")
-    if off_pps > 0 and on_pps < floor:
-        failures.append(
-            f"instrumented pages/sec {on_pps:.0f} < floor {floor:.0f} "
-            f"({args.max_overhead:.0%} of disabled {off_pps:.0f})")
+    if args.records is not None:
+        failures += check_per_record(instrumented, disabled, args.records,
+                                     args.max_ns_per_record, best_of)
+    else:
+        failures += check_fraction(instrumented, disabled, args.max_overhead,
+                                   best_of)
 
     if failures:
         print("OBS OVERHEAD GATE FAILED:")

@@ -74,7 +74,7 @@ struct Args {
   uint64_t max_pages = 0;
   size_t frontier_capacity = 0;
   /// Frontier regime: "pop" (the paper's priority queues, default) or
-  /// "batch" (rescore-and-select-top-K per iteration).
+  /// "batch" (select the top K pending URLs per iteration).
   std::string frontier = "pop";
   uint32_t batch_k = 0;       // URLs per batch iteration (0 = default).
   std::string scorers;        // Composite scorer spec (empty = default).
@@ -138,8 +138,8 @@ int Usage(const char* argv0) {
       "  --max-pages=N                crawl budget (default: exhaust)\n"
       "  --frontier-capacity=N        bounded URL queue (default: unlimited)\n"
       "  --frontier=pop|batch         pop-order queues (default) or the\n"
-      "                               batch-selection regime: rescore all\n"
-      "                               pending URLs, crawl the top K, repeat\n"
+      "                               batch-selection regime: select the\n"
+      "                               top K pending URLs, crawl them, repeat\n"
       "  --batch-k=N                  batch size per selection iteration\n"
       "                               (default 256; needs --frontier=batch)\n"
       "  --scorers=SPEC               weighted scorer spec for --frontier=\n"
@@ -377,7 +377,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     if (args->frontier_capacity != 0) {
       std::fprintf(stderr,
                    "--frontier=batch is incompatible with "
-                   "--frontier-capacity: batch selection rescores the "
+                   "--frontier-capacity: batch selection ranks the "
                    "complete pending set and never sheds URLs\n");
       return false;
     }
