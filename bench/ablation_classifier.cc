@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace lswc;
   using namespace lswc::bench;
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  if (args.pages > 300'000) args.pages = 300'000;  // 8 full crawls.
+  if (args.dataset.pages > 300'000) args.dataset.pages = 300'000;  // 8 full crawls.
   BenchReport report = MakeReport("ablation_classifier", args);
 
   std::printf("=== Ablation: classifier choice, Thai dataset ===\n");

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace lswc;
   using namespace lswc::bench;
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  if (args.pages > 200'000) args.pages = 200'000;  // Many graphs below.
+  if (args.dataset.pages > 200'000) args.dataset.pages = 200'000;  // Many graphs below.
   BenchReport report = MakeReport("ablation_locality", args);
 
   std::printf("=== Ablation: language locality sweep, Thai-like dataset ===\n");
@@ -38,10 +38,7 @@ int main(int argc, char** argv) {
   const double flips[] = {0.03, 0.10, 0.20, 0.35, 0.50};
   Row rows[std::size(flips)];
 
-  ExperimentRunner::Options runner_options;
-  runner_options.jobs = args.jobs;
-  ConfigureObs(args, &runner_options);
-  ExperimentRunner runner(runner_options);
+  ExperimentRunner runner(RunnerOptions(args));
   std::vector<RunSpec> specs;
   for (size_t i = 0; i < std::size(flips); ++i) {
     const double flip = flips[i];
@@ -49,8 +46,7 @@ int main(int argc, char** argv) {
     RunSpec spec;
     spec.name = StringPrintf("flip=%.2f", flip);
     spec.custom = [flip, row, &args](const RunContext& context) -> Status {
-      SyntheticWebOptions options = ThaiLikeOptions(args.pages);
-      if (args.seed != 0) options.seed = args.seed;
+      SyntheticWebOptions options = args.dataset.GeneratorOptions("thai");
       options.language_flip_rate = flip;
       // Cross-host bias adds locality too; scale it down with the flips
       // so the 0.5 end is genuinely locality-free.
@@ -76,7 +72,7 @@ int main(int argc, char** argv) {
       SimulationOptions budget;
       budget.max_pages = graph->num_pages() / 10;
       budget.obs = context.obs;
-      budget.progress_every = args.progress_every;
+      budget.progress_every = args.obs_out.progress_every;
       auto bfs = RunSimulation(*graph, &classifier, BreadthFirstStrategy(),
                                RenderMode::kNone, budget);
       LSWC_RETURN_IF_ERROR(bfs.status());
@@ -85,7 +81,7 @@ int main(int argc, char** argv) {
       LSWC_RETURN_IF_ERROR(hard.status());
       SimulationOptions full;
       full.obs = context.obs;
-      full.progress_every = args.progress_every;
+      full.progress_every = args.obs_out.progress_every;
       auto hard_full = RunSimulation(*graph, &classifier,
                                      HardFocusedStrategy(),
                                      RenderMode::kNone, full);

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace lswc;
   using namespace lswc::bench;
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  if (args.pages > 500'000) args.pages = 500'000;
+  if (args.dataset.pages > 500'000) args.dataset.pages = 500'000;
   BenchReport report = MakeReport("ablation_queue_budget", args);
 
   std::printf("=== Ablation: frontier budget vs limited distance ===\n");

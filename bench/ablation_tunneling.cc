@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace lswc;
   using namespace lswc::bench;
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  if (args.pages > 300'000) args.pages = 300'000;
+  if (args.dataset.pages > 300'000) args.dataset.pages = 300'000;
   BenchReport report = MakeReport("ablation_tunneling", args);
 
   std::printf("=== Ablation: tunneling approaches, Thai dataset ===\n");

@@ -3,153 +3,40 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
-#include "core/batch_frontier.h"
 #include "core/checkpoint.h"
 #include "obs/journal.h"
 #include "obs/run_obs.h"
-#include "obs/telemetry_plane.h"
-#include "obs/trace_sink.h"
+#include "util/flags.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace lswc::bench {
 
 unsigned BenchArgs::resolved_jobs() const {
-  return jobs != 0 ? jobs : ThreadPool::DefaultThreadCount();
-}
-
-void ConfigureTelemetryPlane(const BenchArgs& args, const char* argv0) {
-  obs::TelemetryOptions options;
-  options.endpoint = args.telemetry;
-  options.watchdog_secs = args.watchdog_secs;
-  options.watchdog_abort = args.watchdog_abort;
-  options.flight_recorder_events = args.flight_recorder_events;
-  options.dump_path = args.telemetry_dump;
-  obs::ConfigureTelemetryPlaneFromFlags(options, argv0);
+  return parallel.jobs != 0 ? parallel.jobs : ThreadPool::DefaultThreadCount();
 }
 
 BenchArgs BenchArgs::Parse(int argc, char** argv) {
   BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (StartsWith(arg, "--pages=")) {
-      const auto v = ParseUint64(arg.substr(8));
-      if (v.has_value() && *v > 0 && *v <= UINT32_MAX) {
-        args.pages = static_cast<uint32_t>(*v);
-        continue;
-      }
-    } else if (StartsWith(arg, "--seed=")) {
-      const auto v = ParseUint64(arg.substr(7));
-      if (v.has_value()) {
-        args.seed = *v;
-        continue;
-      }
-    } else if (StartsWith(arg, "--out-dir=")) {
-      args.out_dir = std::string(arg.substr(10));
-      continue;
-    } else if (StartsWith(arg, "--dataset-file=")) {
-      args.dataset_file = std::string(arg.substr(15));
-      if (!args.dataset_file.empty()) continue;
-    } else if (StartsWith(arg, "--store=")) {
-      args.store = std::string(arg.substr(8));
-      if (args.store == "mmap" || args.store == "ram") continue;
-    } else if (StartsWith(arg, "--memory-budget-mb=")) {
-      const auto v = ParseUint64(arg.substr(19));
-      if (v.has_value() && *v > 0) {
-        args.memory_budget_mb = *v;
-        continue;
-      }
-    } else if (StartsWith(arg, "--jobs=")) {
-      const auto v = ParseUint64(arg.substr(7));
-      if (v.has_value() && *v > 0 && *v <= 1024) {
-        args.jobs = static_cast<unsigned>(*v);
-        continue;
-      }
-    } else if (StartsWith(arg, "--shards=")) {
-      const auto v = ParseUint64(arg.substr(9));
-      if (v.has_value() && *v <= 256) {
-        args.shards = static_cast<unsigned>(*v);
-        continue;
-      }
-    } else if (StartsWith(arg, "--checkpoint-every=")) {
-      const auto v = ParseUint64(arg.substr(19));
-      if (v.has_value() && *v > 0) {
-        args.checkpoint_every = *v;
-        continue;
-      }
-    } else if (StartsWith(arg, "--snapshot-dir=")) {
-      args.snapshot_dir = std::string(arg.substr(15));
-      if (!args.snapshot_dir.empty()) continue;
-    } else if (StartsWith(arg, "--resume=")) {
-      args.resume_dir = std::string(arg.substr(9));
-      if (!args.resume_dir.empty()) continue;
-    } else if (StartsWith(arg, "--stats-json=")) {
-      args.stats_json = std::string(arg.substr(13));
-      if (!args.stats_json.empty()) continue;
-    } else if (StartsWith(arg, "--trace-out=")) {
-      args.trace_out = std::string(arg.substr(12));
-      if (!args.trace_out.empty()) continue;
-    } else if (StartsWith(arg, "--progress-every=")) {
-      const auto v = ParseUint64(arg.substr(17));
-      if (v.has_value() && *v > 0) {
-        args.progress_every = *v;
-        continue;
-      }
-    } else if (StartsWith(arg, "--telemetry=")) {
-      args.telemetry = std::string(arg.substr(12));
-      if (!args.telemetry.empty()) continue;
-    } else if (StartsWith(arg, "--watchdog-secs=")) {
-      const auto v = ParseUint64(arg.substr(16));
-      if (v.has_value() && *v > 0) {
-        args.watchdog_secs = *v;
-        continue;
-      }
-    } else if (arg == "--watchdog-abort") {
-      args.watchdog_abort = true;
-      continue;
-    } else if (StartsWith(arg, "--flight-recorder-events=")) {
-      const auto v = ParseUint64(arg.substr(25));
-      if (v.has_value()) {
-        args.flight_recorder_events = *v;
-        continue;
-      }
-    } else if (StartsWith(arg, "--telemetry-dump=")) {
-      args.telemetry_dump = std::string(arg.substr(17));
-      if (!args.telemetry_dump.empty()) continue;
-    } else if (StartsWith(arg, "--journal-dir=")) {
-      args.journal_dir = std::string(arg.substr(14));
-      if (!args.journal_dir.empty()) continue;
-    } else if (StartsWith(arg, "--only=")) {
-      args.only = std::string(arg.substr(7));
-      if (!args.only.empty()) continue;
-    }
-    std::fprintf(
-        stderr,
-        "usage: %s [--pages=N] [--seed=N] [--out-dir=DIR] [--jobs=N]\n"
-        "          [--dataset-file=FILE] [--store=mmap|ram]\n"
-        "          [--memory-budget-mb=N] [--shards=N]\n"
-        "          [--checkpoint-every=N --snapshot-dir=DIR] [--resume=DIR]\n"
-        "          [--stats-json=FILE] [--trace-out=FILE]"
-        " [--progress-every=N]\n"
-        "          [--telemetry=unix:PATH|tcp:[HOST:]PORT]"
-        " [--watchdog-secs=N]\n"
-        "          [--watchdog-abort] [--flight-recorder-events=N]"
-        " [--telemetry-dump=FILE]\n"
-        "          [--journal-dir=DIR] [--only=SUBSTR]\n",
-        argv[0]);
-    std::exit(2);
-  }
-  if (args.checkpoint_every != 0 && args.snapshot_dir.empty()) {
-    std::fprintf(stderr,
-                 "%s: --checkpoint-every requires --snapshot-dir\n", argv[0]);
-    std::exit(2);
-  }
-  ConfigureTelemetryPlane(args, argv[0]);
+  FlagTable table("[options]");
+  AddGeneratorFlags(&table, &args.dataset, /*with_preset=*/false);
+  table.String("--out-dir", "DIR", "output directory (default bench_out)",
+               &args.out_dir);
+  AddParallelFlags(&table, &args.parallel);
+  AddReplayFlags(&table, &args.dataset, /*with_disk=*/false);
+  AddCheckpointFlags(&table, &args.checkpoint);
+  AddObsOutputFlags(&table, &args.obs_out);
+  obs::AddTelemetryFlags(&table, &args.telemetry);
+  table.String("--journal-dir", "DIR",
+               "one decision journal per grid cell, DIR/<cell>.jrnl",
+               &args.journal_dir);
+  table.String("--only", "SUBSTR",
+               "run only the grid cells whose name contains SUBSTR",
+               &args.only);
+  table.ParseOrExit(argc, argv);
+  obs::ConfigureTelemetryPlaneFromFlags(args.telemetry, argv[0]);
   return args;
 }
 
@@ -172,50 +59,21 @@ ObsAccumulator& Accumulator() {
 
 void FlushObsFiles(const BenchArgs& args) {
   ObsAccumulator& acc = Accumulator();
-  if (!args.stats_json.empty()) {
-    if (acc.merged.enabled) {
-      const auto parent = std::filesystem::path(args.stats_json).parent_path();
-      if (!parent.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(parent, ec);
-      }
-      std::ofstream f(args.stats_json);
-      if (f.is_open()) {
-        f << acc.merged.StatsJson(/*include_times=*/true);
-        std::printf("# wrote %s\n", args.stats_json.c_str());
-      } else {
-        std::fprintf(stderr, "warning: cannot open %s\n",
-                     args.stats_json.c_str());
-      }
-    } else {
-      std::fprintf(stderr,
-                   "warning: --stats-json ignored (obs disabled)\n");
-    }
-  }
-  if (!args.trace_out.empty()) {
-    std::vector<const obs::TraceSink*> sinks;
-    sinks.reserve(acc.traced.size());
-    for (const auto& bundle : acc.traced) {
-      bundle->CollectTraceSinks(&sinks);
-    }
-    if (sinks.empty()) {
-      std::fprintf(stderr,
-                   "warning: --trace-out ignored (obs disabled)\n");
-    } else {
-      const Status status = obs::TraceSink::WriteFile(args.trace_out, sinks);
-      if (!status.ok()) {
-        std::fprintf(stderr, "warning: %s\n", status.ToString().c_str());
-      } else {
-        std::printf("# wrote %s\n", args.trace_out.c_str());
-      }
-    }
+  std::vector<const obs::TraceSink*> sinks;
+  for (const auto& bundle : acc.traced) bundle->CollectTraceSinks(&sinks);
+  const Status status = WriteObsOutputs(args.obs_out, acc.merged, sinks);
+  if (!status.ok()) {
+    std::fprintf(stderr, "warning: %s\n", status.ToString().c_str());
   }
 }
 }  // namespace
 
-void ConfigureObs(const BenchArgs& args, ExperimentRunner::Options* options) {
-  options->trace = !args.trace_out.empty();
-  options->trace_tid_base = Accumulator().next_tid;
+ExperimentRunner::Options RunnerOptions(const BenchArgs& args) {
+  ExperimentRunner::Options options;
+  options.jobs = args.parallel.jobs;
+  options.trace = !args.obs_out.trace_out.empty();
+  options.trace_tid_base = Accumulator().next_tid;
+  return options;
 }
 
 void AccumulateObs(std::vector<RunResult>* results, BenchReport* report) {
@@ -235,10 +93,10 @@ void AccumulateObs(std::vector<RunResult>* results, BenchReport* report) {
 
 BenchReport MakeReport(std::string name, const BenchArgs& args) {
   BenchReport report(std::move(name));
-  report.set_pages(args.pages);
-  report.set_seed(args.seed);
+  report.set_pages(args.dataset.pages);
+  report.set_seed(args.dataset.seed);
   report.set_jobs(args.resolved_jobs());
-  report.set_shards(args.shards);
+  report.set_shards(args.parallel.shards);
   return report;
 }
 
@@ -257,15 +115,15 @@ namespace {
 /// Replays --dataset-file through the chosen backend: the mmap path
 /// returns a zero-copy view of the mapping (page-ins happen as the
 /// crawl touches records), the ram path pays all I/O up front.
-WebGraph OpenStored(const BenchArgs& args) {
+WebGraph OpenStored(const DatasetFlags& dataset) {
   const auto t0 = std::chrono::steady_clock::now();
-  WebGraph graph = [&args] {
-    if (args.store == "ram") {
-      auto ram = store::StoredWebGraph::ReadInRam(args.dataset_file);
+  WebGraph graph = [&dataset] {
+    if (dataset.store == "ram") {
+      auto ram = store::StoredWebGraph::ReadInRam(dataset.dataset_file);
       LSWC_CHECK(ram.ok()) << ram.status();
       return std::move(ram).value();
     }
-    auto stored = store::StoredWebGraph::Open(args.dataset_file);
+    auto stored = store::StoredWebGraph::Open(dataset.dataset_file);
     LSWC_CHECK(stored.ok()) << stored.status();
     return (*stored)->NewView();
   }();
@@ -274,14 +132,14 @@ WebGraph OpenStored(const BenchArgs& args) {
           .count();
   std::printf("# replaying %s (%s store): %zu pages / %zu hosts / %zu links, "
               "opened in %.2fs\n",
-              args.dataset_file.c_str(), args.store.c_str(),
+              dataset.dataset_file.c_str(), dataset.store.c_str(),
               graph.num_pages(), graph.num_hosts(), graph.num_links(), secs);
   return graph;
 }
 
-WebGraph Build(SyntheticWebOptions options, const BenchArgs& args) {
-  if (!args.dataset_file.empty()) return OpenStored(args);
-  if (args.seed != 0) options.seed = args.seed;
+WebGraph Build(std::string_view preset, const DatasetFlags& dataset) {
+  if (!dataset.dataset_file.empty()) return OpenStored(dataset);
+  const SyntheticWebOptions options = dataset.GeneratorOptions(preset);
   const auto t0 = std::chrono::steady_clock::now();
   auto graph = GenerateWebGraph(options);
   LSWC_CHECK(graph.ok()) << graph.status();
@@ -297,11 +155,11 @@ WebGraph Build(SyntheticWebOptions options, const BenchArgs& args) {
 }  // namespace
 
 WebGraph BuildThaiDataset(const BenchArgs& args) {
-  return Build(ThaiLikeOptions(args.pages), args);
+  return Build("thai", args.dataset);
 }
 
 WebGraph BuildJapaneseDataset(const BenchArgs& args) {
-  return Build(JapaneseLikeOptions(args.pages), args);
+  return Build("japanese", args.dataset);
 }
 
 std::vector<GridResult> RunGrid(const BenchArgs& args, const WebGraph& graph,
@@ -320,23 +178,23 @@ std::vector<GridResult> RunGrid(const BenchArgs& args, const WebGraph& graph,
                 runs.size(), before);
     if (runs.empty()) return {};
   }
-  ExperimentRunner::Options options;
-  options.jobs = args.jobs;
-  ConfigureObs(args, &options);
-  ExperimentRunner runner(options);
+  ExperimentRunner runner(RunnerOptions(args));
   // Mmap replays register the dataset *file* so every cell's link DB is
   // served from the shared mapping (MmapLinkDb) instead of the in-RAM
   // copy; reopening is cheap and happens once per runner (call_once).
   // The ram backend — and generated graphs — use the prebuilt view.
-  const bool mmap_replay = !args.dataset_file.empty() && args.store == "mmap";
+  const bool mmap_replay =
+      !args.dataset.dataset_file.empty() && args.dataset.store == "mmap";
   const int dataset =
-      mmap_replay ? runner.AddDataset(StoredDatasetSpec{args.dataset_file})
-                  : runner.AddDataset(&graph);
+      mmap_replay
+          ? runner.AddDataset(StoredDatasetSpec{args.dataset.dataset_file})
+          : runner.AddDataset(&graph);
 
-  if (!args.snapshot_dir.empty()) {
+  if (!args.checkpoint.snapshot_dir.empty()) {
     std::error_code ec;
-    std::filesystem::create_directories(args.snapshot_dir, ec);
-    LSWC_CHECK(!ec) << "cannot create snapshot dir " << args.snapshot_dir;
+    std::filesystem::create_directories(args.checkpoint.snapshot_dir, ec);
+    LSWC_CHECK(!ec) << "cannot create snapshot dir "
+                    << args.checkpoint.snapshot_dir;
   }
   if (!args.journal_dir.empty()) {
     std::error_code ec;
@@ -360,52 +218,29 @@ std::vector<GridResult> RunGrid(const BenchArgs& args, const WebGraph& graph,
         run.classifier ? std::move(run.classifier) : default_classifier;
     spec.render_mode = run.render_mode;
     spec.options = std::move(run.options);
-    if (args.shards != 0) spec.options.shards = args.shards;
+    if (args.parallel.shards != 0) spec.options.shards = args.parallel.shards;
     // Out-of-core identity: recorded in the snapshot fingerprint, and
     // the budget sizes the spilling frontier for serial cells.
-    spec.options.dataset_file = args.dataset_file;
-    spec.options.memory_budget_mb = args.memory_budget_mb;
-    spec.options.checkpoint_every_pages = args.checkpoint_every;
-    spec.options.snapshot_dir = args.snapshot_dir;
-    spec.options.progress_every = args.progress_every;
-    if (!args.resume_dir.empty()) {
-      // Resume-if-exists: cells whose snapshot survived the crash pick
-      // up mid-run; the rest start fresh.
-      const std::string candidate = args.resume_dir + "/" +
-                                    SanitizeSnapshotLabel(spec.name) + ".snap";
-      if (std::filesystem::exists(candidate)) {
-        spec.options.resume_path = candidate;
-        std::printf("# resuming %s from %s\n", spec.name.c_str(),
-                    candidate.c_str());
-      }
+    spec.options.dataset_file = args.dataset.dataset_file;
+    spec.options.memory_budget_mb = args.dataset.memory_budget_mb;
+    spec.options.checkpoint_every_pages = args.checkpoint.every;
+    spec.options.snapshot_dir = args.checkpoint.snapshot_dir;
+    spec.options.progress_every = args.obs_out.progress_every;
+    // Resume-if-exists: cells whose snapshot survived the crash pick up
+    // mid-run; the rest start fresh.
+    const std::string resume_path = ResumePathFor(args.checkpoint, spec.name);
+    if (!resume_path.empty()) {
+      spec.options.resume_path = resume_path;
+      std::printf("# resuming %s from %s\n", spec.name.c_str(),
+                  resume_path.c_str());
     }
     if (!args.journal_dir.empty() && spec.options.resume_path.empty()) {
-      const bool batch = spec.options.frontier_kind == "batch";
-      obs::JournalMeta meta;
-      meta.num_pages = graph.num_pages();
-      meta.num_hosts = graph.num_hosts();
-      meta.num_links = graph.num_links();
-      meta.generator_seed = graph.generator_seed();
-      meta.target_language =
-          std::string(LanguageName(graph.target_language()));
-      meta.strategy = spec.name;
-      meta.classifier = spec.classifier()->name();
-      meta.regime = batch ? "batch" : "pop";
-      meta.batch_k = batch ? (spec.options.batch_k == 0
-                                  ? kDefaultBatchK
-                                  : spec.options.batch_k)
-                           : 0;
-      meta.scorer_spec =
-          batch ? (spec.options.scorers.empty() ? kDefaultScorerSpec
-                                                : spec.options.scorers)
-                : "";
       const std::string path = args.journal_dir + "/" +
                                SanitizeSnapshotLabel(spec.name) + ".jrnl";
-      auto writer = obs::JournalWriter::Open(path, std::move(meta));
+      auto writer = OpenRunJournal(path, graph, spec.name,
+                                   spec.classifier()->name(), spec.options);
       LSWC_CHECK(writer.ok()) << "journal " << path << ": "
                               << writer.status();
-      (*writer)->set_host_lookup(
-          [&graph](uint32_t url) { return graph.page(url).host; });
       spec.options.journal = writer->get();
       journals.push_back(std::move(*writer));
     } else if (!args.journal_dir.empty()) {
@@ -473,20 +308,6 @@ void PrintDatasetStats(const char* name, const WebGraph& graph) {
               static_cast<unsigned long long>(stats.relevant_ok_pages),
               100.0 * stats.relevance_ratio(),
               static_cast<unsigned long long>(stats.irrelevant_ok_pages));
-}
-
-Series MergeColumn(const std::vector<std::pair<std::string,
-                                               const SimulationResult*>>& runs,
-                   size_t column, const std::string& x_name) {
-  // A grid filtered down to nothing (--only) merges to an empty series;
-  // EmitSeries then skips it.
-  if (runs.empty()) return Series(x_name, {});
-  std::vector<SeriesInput> inputs;
-  inputs.reserve(runs.size());
-  for (const auto& [name, run] : runs) {
-    inputs.push_back(SeriesInput{name, &run->series});
-  }
-  return MergeSeriesColumns(inputs, column, x_name);
 }
 
 Series MergeColumn(const std::vector<GridResult>& runs, size_t column,

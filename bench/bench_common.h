@@ -20,78 +20,38 @@
 #include <vector>
 
 #include "core/experiment_runner.h"
+#include "core/front_end.h"
 #include "core/simulator.h"
+#include "obs/telemetry_plane.h"
 #include "util/bench_report.h"
 #include "util/series.h"
 #include "webgraph/generator.h"
 
 namespace lswc::bench {
 
-/// Common command-line flags: --pages=N --seed=N --out-dir=DIR --jobs=N
-/// plus the out-of-core trio --dataset-file=FILE --store=mmap|ram
-/// --memory-budget-mb=N, the checkpoint/resume trio
-/// --checkpoint-every=N --snapshot-dir=DIR --resume=DIR and the
-/// observability trio --stats-json=FILE --trace-out=FILE
-/// --progress-every=N. Unknown flags abort with a usage message.
+/// The command line every harness shares, parsed from one flag table:
+/// --pages=N --seed=N --out-dir=DIR, the dataset replay, parallelism,
+/// checkpoint, obs output and telemetry groups of core/front_end.h and
+/// obs/telemetry_plane.h, plus --journal-dir=DIR and --only=SUBSTR. A
+/// bad or unknown flag prints the reason and the usage and exits 2.
 struct BenchArgs {
-  uint32_t pages = 1'000'000;
-  uint64_t seed = 0;  // 0 = preset default.
+  /// --pages (default 1M), --seed, and the --dataset-file replay with
+  /// --store=mmap|ram. The two stores produce bit-identical series —
+  /// CI's out-of-core determinism gate.
+  DatasetFlags dataset;
+  /// --jobs and --shards. The BENCH report records the shard count, so
+  /// hash comparisons across shard counts are a meaningful gate.
+  ParallelFlags parallel;
+  /// --checkpoint-every, --snapshot-dir and --resume=DIR: each grid
+  /// cell snapshots to, and resumes from, its own <dir>/<cell>.snap.
+  CheckpointFlags checkpoint;
+  /// --stats-json (the same document is embedded in BENCH_<name>.json
+  /// as the schema-v2 "obs" block regardless), --trace-out and
+  /// --progress-every.
+  ObsOutputFlags obs_out;
+  /// The telemetry plane (docs/ARCHITECTURE.md "Telemetry plane").
+  obs::TelemetryOptions telemetry;
   std::string out_dir = "bench_out";
-  unsigned jobs = 0;  // 0 = all hardware threads; 1 = serial.
-  /// Replay this LSWCDS1 dataset file instead of generating the graph
-  /// (stream one with tools/lswc_dataset). --pages/--seed are ignored
-  /// for the replayed dataset; its own size and seed govern.
-  std::string dataset_file;
-  /// Dataset backend when --dataset-file is set: "mmap" (default)
-  /// serves the graph and per-run link DBs straight from one shared
-  /// mapping; "ram" copies the file into heap storage up front. Both
-  /// produce bit-identical series — CI's out-of-core determinism gate.
-  std::string store = "mmap";
-  /// Global memory budget in MiB (0 = unbudgeted). Makes the spilling
-  /// frontier the default and sizes it (plus any disk link cache) from
-  /// one store::PlanMemoryBudget pool.
-  uint64_t memory_budget_mb = 0;
-  /// Host-partitioned worker shards per simulation (0 = the serial
-  /// engine). Any N produces bit-identical output; the BENCH report
-  /// records the value so hash comparisons across shard counts are a
-  /// meaningful determinism gate.
-  unsigned shards = 0;
-  /// Snapshot the full run state every N crawled pages (0 = never);
-  /// requires snapshot_dir. Each grid cell writes its own rolling
-  /// <snapshot_dir>/<cell-name>.snap.
-  uint64_t checkpoint_every = 0;
-  std::string snapshot_dir;
-  /// Resume each grid cell from <resume_dir>/<cell-name>.snap when that
-  /// file exists (cells without a snapshot start fresh) — the
-  /// crash-recovery path: rerun the same command with --resume pointing
-  /// at the snapshot directory of the killed run.
-  std::string resume_dir;
-  /// Write the binary-wide merged obs stats (stages + registry) to this
-  /// JSON file. The same document is embedded in BENCH_<name>.json as
-  /// the schema-v2 "obs" block regardless.
-  std::string stats_json;
-  /// Write a Chrome trace-event file (chrome://tracing / Perfetto) with
-  /// one track per grid run. Opt-in: tracing buffers events in memory.
-  std::string trace_out;
-  /// Print a per-run progress line to stderr every N crawled pages.
-  /// The line is rendered from the published telemetry snapshot, so it
-  /// always agrees with the live endpoint's progress document.
-  uint64_t progress_every = 0;
-  /// Serve the live status endpoint here ("unix:<path>" or
-  /// "tcp:[host:]port"; empty = no endpoint). See docs/ARCHITECTURE.md
-  /// "Telemetry plane".
-  std::string telemetry;
-  /// Abort-free stall watchdog deadline in seconds (0 = off): when no
-  /// fetch completes for this long, dump the flight recorder plus
-  /// per-shard attribution to --telemetry-dump (or stderr).
-  uint64_t watchdog_secs = 0;
-  /// abort() when the watchdog fires, so CI turns hangs into failures.
-  bool watchdog_abort = false;
-  /// Per-run flight-recorder ring capacity (events; 0 disables the
-  /// recorder and the SIGSEGV/SIGABRT crash dump).
-  uint64_t flight_recorder_events = 1024;
-  /// Watchdog / crash dump file (empty = stderr).
-  std::string telemetry_dump;
   /// Write one decision journal per grid cell to
   /// DIR/<cell-name>.jrnl (empty = no journaling). The forensics
   /// counterpart of the hash gate: when two BENCH reports disagree,
@@ -113,17 +73,6 @@ struct BenchArgs {
   static BenchArgs Parse(int argc, char** argv);
 };
 
-/// Configures the process-wide obs::TelemetryPlane from the telemetry
-/// flags (endpoint server, stall watchdog, flight recorder + crash
-/// handler) by delegating to obs::ConfigureTelemetryPlaneFromFlags; a
-/// no-op when no telemetry flag was given. BenchArgs::Parse calls this
-/// itself; standalone tools with their own flag parsing (lswc_sim,
-/// lswc_dataset) call the obs helper directly. Bind failures are fatal
-/// (exit 2). When an endpoint was bound, its resolved address is
-/// printed to stderr as "TELEMETRY <endpoint>" so scripts can attach
-/// to tcp:0.
-void ConfigureTelemetryPlane(const BenchArgs& args, const char* argv0);
-
 /// Creates the binary's BENCH report with name/pages/seed/jobs
 /// prefilled. Construct it before building datasets: the report's wall
 /// time runs from construction to WriteReport.
@@ -134,10 +83,10 @@ BenchReport MakeReport(std::string name, const BenchArgs& args);
 /// are written here, after every grid has contributed.
 void WriteReport(const BenchArgs& args, const BenchReport& report);
 
-/// Applies the obs flags to runner options (trace on/off, tid
-/// numbering). RunGrid does this itself; harnesses that drive
-/// ExperimentRunner directly call it before constructing the runner.
-void ConfigureObs(const BenchArgs& args, ExperimentRunner::Options* options);
+/// Runner options from the flags: --jobs workers, tracing when
+/// --trace-out is set, and trace tids after every earlier grid's. RunGrid
+/// uses it; so do harnesses that drive ExperimentRunner directly.
+ExperimentRunner::Options RunnerOptions(const BenchArgs& args);
 
 /// Folds each result's obs bundle into the binary-wide accumulator
 /// (merged registry/profiler; trace sinks kept alive for --trace-out)
@@ -197,9 +146,6 @@ void PrintDatasetStats(const char* name, const WebGraph& graph);
 /// Merges the `column` of several runs into one Series keyed by the
 /// run's name, resampled onto a common x grid (the paper plots all
 /// strategies on one axis). `column`: 0 harvest, 1 coverage, 2 queue.
-Series MergeColumn(const std::vector<std::pair<std::string,
-                                               const SimulationResult*>>& runs,
-                   size_t column, const std::string& x_name);
 Series MergeColumn(const std::vector<GridResult>& runs, size_t column,
                    const std::string& x_name);
 

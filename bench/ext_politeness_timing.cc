@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   using namespace lswc;
   using namespace lswc::bench;
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  if (args.pages > 300'000) args.pages = 300'000;
+  if (args.dataset.pages > 300'000) args.dataset.pages = 300'000;
   BenchReport report = MakeReport("ext_politeness_timing", args);
 
   std::printf("=== Extension: transfer delays + access intervals ===\n");
@@ -61,10 +61,7 @@ int main(int argc, char** argv) {
     cells.push_back(std::move(cell));
   }
 
-  ExperimentRunner::Options runner_options;
-  runner_options.jobs = args.jobs;
-  ConfigureObs(args, &runner_options);
-  ExperimentRunner runner(runner_options);
+  ExperimentRunner runner(RunnerOptions(args));
   const int dataset = runner.AddDataset(&graph);
   std::vector<RunSpec> specs;
   for (Cell& cell : cells) {
@@ -81,7 +78,7 @@ int main(int argc, char** argv) {
       options.num_connections = c->connections;
       options.min_access_interval_sec = 1.0;
       options.obs = context.obs;
-      options.progress_every = args.progress_every;
+      options.progress_every = args.obs_out.progress_every;
       PolitenessSimulator sim(&web, &classifier, c->strategy, options);
       auto r = sim.Run();
       LSWC_RETURN_IF_ERROR(r.status());

@@ -29,10 +29,7 @@ int main(int argc, char** argv) {
   InlinkStats in;
   DeclarationStats decl;
   DegreeStats deg;
-  ExperimentRunner::Options runner_options;
-  runner_options.jobs = args.jobs;
-  ConfigureObs(args, &runner_options);
-  ExperimentRunner runner(runner_options);
+  ExperimentRunner runner(RunnerOptions(args));
   const int dataset = runner.AddDataset(&graph);
   struct Analysis {
     const char* name;

@@ -40,10 +40,7 @@ int main(int argc, char** argv) {
   constexpr int kDocs = 500;
   constexpr uint64_t kBaseSeed = 20050301;
 
-  ExperimentRunner::Options runner_options;
-  runner_options.jobs = args.jobs;
-  ConfigureObs(args, &runner_options);
-  ExperimentRunner runner(runner_options);
+  ExperimentRunner runner(RunnerOptions(args));
   std::vector<RunSpec> specs;
   for (size_t i = 0; i < std::size(rows); ++i) {
     Row* row = &rows[i];

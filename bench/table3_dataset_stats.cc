@@ -20,19 +20,10 @@ int main(int argc, char** argv) {
   BenchReport report = MakeReport("table3_dataset_stats", args);
 
   std::printf("=== Table 3: characteristics of experimental datasets ===\n");
-  SyntheticWebOptions thai_options = ThaiLikeOptions(args.pages);
-  SyntheticWebOptions japanese_options = JapaneseLikeOptions(args.pages);
-  if (args.seed != 0) {
-    thai_options.seed = args.seed;
-    japanese_options.seed = args.seed;
-  }
-
-  ExperimentRunner::Options runner_options;
-  runner_options.jobs = args.jobs;
-  ConfigureObs(args, &runner_options);
-  ExperimentRunner runner(runner_options);
-  const int datasets[] = {runner.AddDataset(thai_options),
-                          runner.AddDataset(japanese_options)};
+  ExperimentRunner runner(RunnerOptions(args));
+  const int datasets[] = {
+      runner.AddDataset(args.dataset.GeneratorOptions("thai")),
+      runner.AddDataset(args.dataset.GeneratorOptions("japanese"))};
   DatasetStats stats[2];
   std::vector<RunSpec> specs;
   for (int i = 0; i < 2; ++i) {

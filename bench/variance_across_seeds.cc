@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace lswc;
   using namespace lswc::bench;
   BenchArgs args = BenchArgs::Parse(argc, argv);
-  if (args.pages > 200'000) args.pages = 200'000;  // 5 graphs x 6 crawls.
+  if (args.dataset.pages > 200'000) args.dataset.pages = 200'000;  // 5 graphs x 6 crawls.
   BenchReport report = MakeReport("variance_across_seeds", args);
 
   constexpr uint64_t kSeeds[] = {101, 202, 303, 404, 505};
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== Variance across %zu dataset seeds (Thai-like, %u pages "
               "each) ===\n",
-              std::size(kSeeds), args.pages);
+              std::size(kSeeds), args.dataset.pages);
 
   const BreadthFirstStrategy bfs;
   const HardFocusedStrategy hard;
@@ -50,14 +50,11 @@ int main(int argc, char** argv) {
   const LimitedDistanceStrategy l1(1, true), l2(2, true), l3(3, true);
   const CrawlStrategy* strategies[] = {&bfs, &hard, &soft, &l1, &l2, &l3};
 
-  ExperimentRunner::Options runner_options;
-  runner_options.jobs = args.jobs;
-  ConfigureObs(args, &runner_options);
-  ExperimentRunner runner(runner_options);
+  ExperimentRunner runner(RunnerOptions(args));
   std::vector<int> datasets;
   std::vector<RunSpec> specs;
   for (uint64_t seed : kSeeds) {
-    datasets.push_back(runner.AddDataset(ThaiLikeOptions(args.pages, seed)));
+    datasets.push_back(runner.AddDataset(ThaiLikeOptions(args.dataset.pages, seed)));
     for (size_t i = 0; i < std::size(strategies); ++i) {
       RunSpec spec;
       spec.name = StringPrintf("%s/seed=%llu", rows[i].name.c_str(),
@@ -65,7 +62,7 @@ int main(int argc, char** argv) {
       spec.dataset = datasets.back();
       spec.strategy = strategies[i];
       spec.classifier = ClassifierOf<MetaTagClassifier>(Language::kThai);
-      spec.options.progress_every = args.progress_every;
+      spec.options.progress_every = args.obs_out.progress_every;
       specs.push_back(std::move(spec));
     }
   }

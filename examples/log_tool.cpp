@@ -1,33 +1,34 @@
-// Crawl-log utility: inspect, convert and generate logs in both formats
-// (binary "LSWCLOG1" and the hand-editable text format).
+// Crawl-log utility: inspect, convert and generate web spaces in both
+// formats, the LSWCDS1 dataset file and the hand-editable text log (the
+// import path for crawls made elsewhere). Every input may be either.
 //
-//   log_tool stats   <log>                  dataset statistics (Table 3)
-//   log_tool to-text <in.log>  <out.txt>    binary -> text
-//   log_tool to-bin  <in.txt>  <out.log>    text   -> binary
-//   log_tool gen     thai|japanese <pages> <out.log>   synthesize
-//   log_tool sample  <in.log> <pages> <out.log>         BFS downscale
+//   log_tool stats   <in>                   dataset statistics (Table 3)
+//   log_tool to-text <in>  <out.txt>        -> text log
+//   log_tool to-bin  <in>  <out.ds>         -> LSWCDS1 dataset file
+//   log_tool gen     thai|japanese <pages> <out.ds>   synthesize
+//   log_tool sample  <in> <pages> <out.ds>            BFS downscale
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "webgraph/crawl_log.h"
+#include "store/dataset_writer.h"
+#include "store/stored_web_graph.h"
 #include "webgraph/generator.h"
 #include "webgraph/sample.h"
 #include "webgraph/text_log.h"
 
 namespace {
 
-using lswc::ReadCrawlLog;
 using lswc::ReadTextLogFile;
 using lswc::StatusOr;
 using lswc::WebGraph;
 
-// Reads either format, sniffing by the binary magic.
+// Reads either format: an LSWCDS1 dataset file, else a text log.
 StatusOr<WebGraph> ReadAnyLog(const std::string& path) {
-  auto binary = ReadCrawlLog(path);
-  if (binary.ok()) return binary;
+  auto dataset = lswc::store::StoredWebGraph::ReadInRam(path);
+  if (dataset.ok()) return dataset;
   return ReadTextLogFile(path);
 }
 
@@ -61,11 +62,11 @@ int main(int argc, char** argv) {
   using namespace lswc;
   if (argc < 3) {
     std::fprintf(stderr,
-                 "usage: %s stats <log>\n"
-                 "       %s to-text <in.log> <out.txt>\n"
-                 "       %s to-bin <in.txt> <out.log>\n"
-                 "       %s gen thai|japanese <pages> <out.log>\n"
-                 "       %s sample <in.log> <pages> <out.log>\n",
+                 "usage: %s stats <in>\n"
+                 "       %s to-text <in> <out.txt>\n"
+                 "       %s to-bin <in> <out.ds>\n"
+                 "       %s gen thai|japanese <pages> <out.ds>\n"
+                 "       %s sample <in> <pages> <out.ds>\n",
                  argv[0], argv[0], argv[0], argv[0], argv[0]);
     return 2;
   }
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const Status s = cmd == "to-text" ? WriteTextLogFile(*g, argv[3])
-                                      : WriteCrawlLog(*g, argv[3]);
+                                      : store::WriteDatasetFile(*g, argv[3]);
     if (!s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
 
   if (cmd == "gen") {
     if (argc != 5) {
-      std::fprintf(stderr, "gen needs thai|japanese <pages> <out.log>\n");
+      std::fprintf(stderr, "gen needs thai|japanese <pages> <out.ds>\n");
       return 2;
     }
     const uint32_t pages = static_cast<uint32_t>(std::atoi(argv[3]));
@@ -106,7 +107,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", g.status().ToString().c_str());
       return 1;
     }
-    if (Status s = WriteCrawlLog(*g, argv[4]); !s.ok()) {
+    if (Status s = store::WriteDatasetFile(*g, argv[4]); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
   }
   if (cmd == "sample") {
     if (argc != 5) {
-      std::fprintf(stderr, "sample needs <in.log> <pages> <out.log>\n");
+      std::fprintf(stderr, "sample needs <in> <pages> <out.ds>\n");
       return 2;
     }
     auto g = ReadAnyLog(argv[2]);
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", sampled.status().ToString().c_str());
       return 1;
     }
-    if (Status s = WriteCrawlLog(*sampled, argv[4]); !s.ok()) {
+    if (Status s = store::WriteDatasetFile(*sampled, argv[4]); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }

@@ -1,12 +1,12 @@
 // The paper's Thai web-archiving experiment, end to end:
-//   1. build a Thai-like web space and persist it as a crawl log
-//      (the artifact a real crawl would have produced),
-//   2. reload the log the way the trace-driven simulator does,
+//   1. build a Thai-like web space and persist it as an LSWCDS1
+//      dataset file (the artifact a real crawl would have produced),
+//   2. reload the file the way the trace-driven simulator does,
 //   3. evaluate every §3.3 strategy on it — breadth-first, simple
 //      hard/soft, limited-distance N=1..4 in both modes,
 //   4. print the comparison table and write gnuplot-ready series.
 //
-// Run:  thai_web_archive [pages] [out.log]
+// Run:  thai_web_archive [pages] [out.ds]
 
 #include <cstdio>
 #include <cstdlib>
@@ -16,29 +16,30 @@
 #include "core/classifier.h"
 #include "core/simulator.h"
 #include "core/strategy.h"
-#include "webgraph/crawl_log.h"
+#include "store/dataset_writer.h"
+#include "store/stored_web_graph.h"
 #include "webgraph/generator.h"
 
 int main(int argc, char** argv) {
   using namespace lswc;
   const uint32_t pages =
       argc > 1 ? static_cast<uint32_t>(std::atoi(argv[1])) : 200'000;
-  const std::string log_path = argc > 2 ? argv[2] : "thai_archive.log";
+  const std::string path = argc > 2 ? argv[2] : "thai_archive.ds";
 
-  // 1. The "real crawl": synthesize the web space and write its log.
+  // 1. The "real crawl": synthesize the web space and write it out.
   auto generated = GenerateWebGraph(ThaiLikeOptions(pages));
   if (!generated.ok()) {
     std::fprintf(stderr, "%s\n", generated.status().ToString().c_str());
     return 1;
   }
-  if (Status s = WriteCrawlLog(*generated, log_path); !s.ok()) {
+  if (Status s = store::WriteDatasetFile(*generated, path); !s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("crawl log written to %s\n", log_path.c_str());
+  std::printf("dataset written to %s\n", path.c_str());
 
-  // 2. Trace-driven replay: everything below only touches the log image.
-  auto graph_or = ReadCrawlLog(log_path);
+  // 2. Trace-driven replay: everything below only touches the file image.
+  auto graph_or = store::StoredWebGraph::ReadInRam(path);
   if (!graph_or.ok()) {
     std::fprintf(stderr, "%s\n", graph_or.status().ToString().c_str());
     return 1;

@@ -1,11 +1,11 @@
 #include "core/politeness.h"
 
+#include <cmath>
 #include <memory>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
-
-#include <cmath>
 
 #include "core/crawl_engine.h"
 #include "core/host_frontier.h"
@@ -255,8 +255,25 @@ PolitenessSimulator::PolitenessSimulator(VirtualWebSpace* web,
       options_(options) {}
 
 StatusOr<PolitenessResult> PolitenessSimulator::Run() {
-  if (options_.num_connections <= 0 || options_.bandwidth_bytes_per_sec <= 0) {
-    return Status::InvalidArgument("bad politeness options");
+  if (options_.num_connections <= 0) {
+    return Status::InvalidArgument("politeness: num_connections must be > 0");
+  }
+  // Infinite bandwidth is allowed: it makes every transfer instant.
+  if (!(options_.bandwidth_bytes_per_sec > 0)) {
+    return Status::InvalidArgument(
+        "politeness: bandwidth_bytes_per_sec must be > 0");
+  }
+  // A NaN, infinite or negative time would stall the simulated clock or
+  // run it backwards, and the summary would report NaN throughput.
+  const std::pair<const char*, double> times[] = {
+      {"min_access_interval_sec", options_.min_access_interval_sec},
+      {"base_latency_sec", options_.base_latency_sec},
+      {"max_sim_time_sec", options_.max_sim_time_sec}};
+  for (const auto& [field, value] : times) {
+    if (!std::isfinite(value) || value < 0) {
+      return Status::InvalidArgument(std::string("politeness: ") + field +
+                                     " must be finite and >= 0");
+    }
   }
   PolitenessScheduler scheduler(&web_->graph(),
                                 strategy_->num_priority_levels(), options_);

@@ -29,7 +29,8 @@ struct PolitenessOptions : DriverOptions {
   int num_connections = 16;
   /// Per-request fixed latency (DNS+connect+TTFB), seconds.
   double base_latency_sec = 0.08;
-  /// Transfer bandwidth per connection, bytes/second.
+  /// Transfer bandwidth per connection, bytes/second (infinity = every
+  /// transfer is instant).
   double bandwidth_bytes_per_sec = 2.0e6;
   /// Minimum spacing between two requests to the same host, seconds.
   double min_access_interval_sec = 1.0;

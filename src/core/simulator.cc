@@ -1,5 +1,7 @@
 #include "core/simulator.h"
 
+#include <utility>
+
 #include "core/crawl_engine.h"
 #include "core/frontier_factory.h"
 #include "core/sharded_engine.h"
@@ -42,6 +44,12 @@ SimulationResult MakeResult(const MetricsRecorder& metrics,
 
 }  // namespace
 
+BatchIdentity ResolveBatchIdentity(const SimulationOptions& options) {
+  if (options.frontier_kind != "batch") return {};
+  return {options.batch_k == 0 ? kDefaultBatchK : options.batch_k,
+          options.scorers.empty() ? kDefaultScorerSpec : options.scorers};
+}
+
 Simulator::Simulator(VirtualWebSpace* web, Classifier* classifier,
                      const CrawlStrategy* strategy,
                      SimulationOptions options)
@@ -69,14 +77,9 @@ StatusOr<SimulationResult> Simulator::Run() {
   engine_options.parse_html = options_.parse_html;
   engine_options.obs = obs;
   engine_options.journal = options_.journal;
-  // The resolved batch identity, recorded in the snapshot fingerprint:
-  // (0, "") outside the batch regime, otherwise the defaults filled in.
-  if (options_.frontier_kind == "batch") {
-    engine_options.batch_k =
-        options_.batch_k == 0 ? kDefaultBatchK : options_.batch_k;
-    engine_options.scorer_spec =
-        options_.scorers.empty() ? kDefaultScorerSpec : options_.scorers;
-  }
+  BatchIdentity batch = ResolveBatchIdentity(options_);
+  engine_options.batch_k = batch.batch_k;
+  engine_options.scorer_spec = std::move(batch.scorer_spec);
   engine_options.dataset_file = options_.dataset_file;
   engine_options.memory_budget_mb = options_.memory_budget_mb;
   engine_options.num_shards = options_.shards;

@@ -81,6 +81,15 @@ struct SimulationOptions : DriverOptions {
   Rng* rng = nullptr;
 };
 
+/// A run's batch identity with the defaults filled in: (0, "") outside
+/// the batch regime. Snapshot fingerprints and journal headers record
+/// it, so two runs compare equal iff they were configured equal.
+struct BatchIdentity {
+  uint32_t batch_k = 0;
+  std::string scorer_spec;
+};
+BatchIdentity ResolveBatchIdentity(const SimulationOptions& options);
+
 /// Aggregate outcome of a run.
 struct SimulationSummary {
   uint64_t pages_crawled = 0;    // All fetches, OK or not (paper x-axis).

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace lswc::obs {
@@ -141,6 +142,38 @@ void ConfigureTelemetryPlaneFromFlags(const TelemetryOptions& options,
   if (!endpoint.empty()) {
     std::fprintf(stderr, "TELEMETRY %s\n", endpoint.c_str());
   }
+}
+
+void AddTelemetryFlags(FlagTable* table, TelemetryOptions* options) {
+  table->String("--telemetry", "ENDPOINT",
+                "live status on unix:PATH or tcp:[HOST:]PORT",
+                &options->endpoint);
+  // At most UINT64_MAX ns, so the deadline in nanoseconds cannot wrap.
+  table->Int("--watchdog-secs", "N", "dump when no fetch completes for N s",
+             &options->watchdog_secs, 1, UINT64_MAX / 1'000'000'000);
+  table->Switch("--watchdog-abort", "abort() when the watchdog fires",
+                &options->watchdog_abort);
+  table->Int("--flight-recorder-events", "N",
+             StringPrintf("crash/stall ring per run (default %llu; 0 = off)",
+                          static_cast<unsigned long long>(
+                              options->flight_recorder_events)),
+             &options->flight_recorder_events, 0, kMaxFlightRecorderEvents);
+  table->String("--telemetry-dump", "FILE",
+                "watchdog/crash dump file (default stderr)",
+                &options->dump_path);
+  table->AddCheck([table, options]() -> std::string {
+    if (options->watchdog_abort && options->watchdog_secs == 0) {
+      return "--watchdog-abort requires --watchdog-secs";
+    }
+    // ConfigureTelemetryPlaneFromFlags starts nothing for a ring size
+    // alone, so the recorder would never record.
+    if (table->given("--flight-recorder-events") && options->endpoint.empty() &&
+        options->watchdog_secs == 0 && options->dump_path.empty()) {
+      return "--flight-recorder-events requires --telemetry, "
+             "--watchdog-secs or --telemetry-dump";
+    }
+    return "";
+  });
 }
 
 }  // namespace lswc::obs

@@ -28,7 +28,15 @@
 #include "obs/watchdog.h"
 #include "util/status.h"
 
+namespace lswc {
+class FlagTable;
+}  // namespace lswc
+
 namespace lswc::obs {
+
+/// The largest flight-recorder ring a run may ask for: 2^20 events, a
+/// ring of about 104 MiB per run.
+inline constexpr uint64_t kMaxFlightRecorderEvents = uint64_t{1} << 20;
 
 struct TelemetryOptions {
   /// Endpoint to serve on ("unix:<path>" / "tcp:[host:]port"); empty
@@ -111,6 +119,15 @@ class TelemetryPlane {
 /// error message.
 void ConfigureTelemetryPlaneFromFlags(const TelemetryOptions& options,
                                       const char* argv0);
+
+/// Declares the five telemetry flags, which write `options`:
+/// --telemetry, --watchdog-secs (at most UINT64_MAX ns),
+/// --watchdog-abort, --flight-recorder-events (at most
+/// kMaxFlightRecorderEvents) and --telemetry-dump. Refuses the two that
+/// would do nothing on their own: --watchdog-abort without
+/// --watchdog-secs, and --flight-recorder-events without a flag that
+/// starts the plane.
+void AddTelemetryFlags(FlagTable* table, TelemetryOptions* options);
 
 }  // namespace lswc::obs
 

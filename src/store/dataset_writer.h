@@ -68,9 +68,9 @@ class DatasetWriter {
 };
 
 /// Writes a complete dataset file for an already materialized graph
-/// (tests, importing crawl logs, `lswc_dataset convert`). The streamed
-/// generator writes the same byte-identical format without ever holding
-/// the graph — see GenerateWebGraphToFile.
+/// (tests, and text crawl logs imported with examples/log_tool). The
+/// streamed generator writes the same byte-identical format without
+/// ever holding the graph — see GenerateWebGraphToFile.
 Status WriteDatasetFile(const WebGraph& graph, const std::string& path);
 
 }  // namespace lswc::store

@@ -9,10 +9,8 @@
 namespace lswc::store {
 
 /// The LSWCDS1 dataset file: one self-describing, section-checksummed
-/// container holding a whole web space — the `WriteLinkFile` idea
-/// generalized from links to the full dataset, so a 100M-page graph can
-/// be generated once, streamed to disk, and served by mmap forever
-/// after.
+/// container holding a whole web space, so a 100M-page graph can be
+/// generated once, streamed to disk, and served by mmap forever after.
 ///
 ///   [0, 8)    magic "LSWCDS1\0"
 ///   [8, 12)   u32 format version (1)

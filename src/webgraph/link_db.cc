@@ -12,39 +12,11 @@
 
 namespace lswc {
 
-namespace {
-constexpr char kLinkMagic[8] = {'L', 'S', 'W', 'C', 'L', 'N', 'K', '1'};
-}  // namespace
-
 Status InMemoryLinkDb::GetOutlinks(PageId id, std::vector<PageId>* out) {
   out->clear();
   if (id >= graph_->num_pages()) return Status::NotFound("page id range");
   const auto links = graph_->outlinks(id);
   out->assign(links.begin(), links.end());
-  return Status::OK();
-}
-
-Status WriteLinkFile(const WebGraph& graph, const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) return Status::IoError("cannot open " + path);
-  out.write(kLinkMagic, sizeof(kLinkMagic));
-  const uint32_t num_pages = static_cast<uint32_t>(graph.num_pages());
-  const uint64_t num_links = graph.num_links();
-  out.write(reinterpret_cast<const char*>(&num_pages), sizeof(num_pages));
-  out.write(reinterpret_cast<const char*>(&num_links), sizeof(num_links));
-  uint64_t offset = 0;
-  out.write(reinterpret_cast<const char*>(&offset), sizeof(offset));
-  for (PageId id = 0; id < num_pages; ++id) {
-    offset += graph.outlinks(id).size();
-    out.write(reinterpret_cast<const char*>(&offset), sizeof(offset));
-  }
-  for (PageId id = 0; id < num_pages; ++id) {
-    const auto links = graph.outlinks(id);
-    out.write(reinterpret_cast<const char*>(links.data()),
-              static_cast<std::streamsize>(links.size() * sizeof(PageId)));
-  }
-  out.flush();
-  if (!out.good()) return Status::IoError("write failed: " + path);
   return Status::OK();
 }
 
@@ -60,14 +32,11 @@ StatusOr<std::unique_ptr<DiskLinkDb>> DiskLinkDb::Open(const std::string& path,
 
   char magic[8];
   db->file_.read(magic, sizeof(magic));
-  if (!db->file_.good()) return Status::Corruption("bad link file magic");
-  if (std::memcmp(magic, kLinkMagic, 8) == 0) {
-    LSWC_RETURN_IF_ERROR(db->OpenLinkFileHeader());
-  } else if (std::memcmp(magic, store::kDatasetMagic, 8) == 0) {
-    LSWC_RETURN_IF_ERROR(db->OpenDatasetHeader(path));
-  } else {
-    return Status::Corruption("bad link file magic");
+  if (!db->file_.good() ||
+      std::memcmp(magic, store::kDatasetMagic, 8) != 0) {
+    return Status::Corruption("bad dataset file magic: " + path);
   }
+  LSWC_RETURN_IF_ERROR(db->OpenDatasetHeader(path));
   if (db->offsets_.front() != 0 || db->offsets_.back() != db->num_links_) {
     return Status::Corruption("offset endpoints wrong");
   }
@@ -77,23 +46,6 @@ StatusOr<std::unique_ptr<DiskLinkDb>> DiskLinkDb::Open(const std::string& path,
     }
   }
   return db;
-}
-
-Status DiskLinkDb::OpenLinkFileHeader() {
-  uint32_t num_pages;
-  uint64_t num_links;
-  file_.read(reinterpret_cast<char*>(&num_pages), sizeof(num_pages));
-  file_.read(reinterpret_cast<char*>(&num_links), sizeof(num_links));
-  if (!file_.good()) return Status::Corruption("truncated link header");
-  num_pages_ = num_pages;
-  num_links_ = num_links;
-  offsets_.resize(static_cast<size_t>(num_pages) + 1);
-  file_.read(reinterpret_cast<char*>(offsets_.data()),
-             static_cast<std::streamsize>(offsets_.size() *
-                                          sizeof(uint64_t)));
-  if (!file_.good()) return Status::Corruption("truncated offsets");
-  targets_base_ = static_cast<uint64_t>(file_.tellg());
-  return Status::OK();
 }
 
 Status DiskLinkDb::OpenDatasetHeader(const std::string& path) {

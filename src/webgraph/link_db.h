@@ -24,9 +24,10 @@ class MetricsRegistry;
 ///
 /// Two implementations:
 ///  - InMemoryLinkDb serves straight from a WebGraph;
-///  - DiskLinkDb serves from a link file with an LRU block cache, the
-///    shape a real 100M-URL link database needs (the paper's Japanese
-///    dataset has ~10^9 links; holding them resident is not a given).
+///  - DiskLinkDb serves an LSWCDS1 dataset file's links through an LRU
+///    block cache, the shape a real 100M-URL link database needs (the
+///    paper's Japanese dataset has ~10^9 links; holding them resident
+///    is not a given).
 class LinkDb {
  public:
   virtual ~LinkDb() = default;
@@ -56,11 +57,6 @@ class InMemoryLinkDb final : public LinkDb {
   const WebGraph* graph_;
 };
 
-/// Writes the link-file representation of a graph:
-///   magic "LSWCLNK1" | num_pages u32 | num_links u64 |
-///   offsets u64 x (num_pages+1) | targets u32 x num_links
-Status WriteLinkFile(const WebGraph& graph, const std::string& path);
-
 /// Disk-backed LinkDb with an LRU cache of fixed-size target blocks.
 /// Cache geometry of DiskLinkDb.
 struct DiskLinkDbOptions {
@@ -73,9 +69,8 @@ class DiskLinkDb final : public LinkDb {
  public:
   using Options = DiskLinkDbOptions;
 
-  /// Accepts either a WriteLinkFile link file ("LSWCLNK1") or a full
-  /// LSWCDS1 dataset file, whose CSR sections it then serves through
-  /// the same block cache.
+  /// Opens an LSWCDS1 dataset file, whose CSR sections it then serves
+  /// through the block cache.
   static StatusOr<std::unique_ptr<DiskLinkDb>> Open(const std::string& path,
                                                     Options options = {});
 
@@ -96,7 +91,6 @@ class DiskLinkDb final : public LinkDb {
  private:
   DiskLinkDb() = default;
 
-  Status OpenLinkFileHeader();
   Status OpenDatasetHeader(const std::string& path);
 
   /// Returns the cached block `index`, loading (and possibly evicting)

@@ -1,5 +1,8 @@
 #include "core/politeness.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/simulator.h"
@@ -123,6 +126,55 @@ TEST(PolitenessTest, RejectsBadOptions) {
   options.num_connections = 0;
   PolitenessSimulator sim(&web, &classifier, &strategy, options);
   EXPECT_FALSE(sim.Run().ok());
+}
+
+TEST(PolitenessTest, RejectsNonFiniteOrNegativeTimes) {
+  const WebGraph g = MakeChain({kThai});
+  MetaTagClassifier classifier(kThai);
+  InMemoryLinkDb db(&g);
+  VirtualWebSpace web(&g, &db, RenderMode::kNone);
+  const BreadthFirstStrategy strategy;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    double PolitenessOptions::*member;
+    double value;
+  };
+  const Case cases[] = {
+      {"min_access_interval_sec", &PolitenessOptions::min_access_interval_sec,
+       nan},
+      {"min_access_interval_sec", &PolitenessOptions::min_access_interval_sec,
+       inf},
+      {"min_access_interval_sec", &PolitenessOptions::min_access_interval_sec,
+       -1.0},
+      {"base_latency_sec", &PolitenessOptions::base_latency_sec, nan},
+      {"base_latency_sec", &PolitenessOptions::base_latency_sec, -0.5},
+      {"max_sim_time_sec", &PolitenessOptions::max_sim_time_sec, inf},
+      {"max_sim_time_sec", &PolitenessOptions::max_sim_time_sec, -1.0},
+      {"bandwidth_bytes_per_sec", &PolitenessOptions::bandwidth_bytes_per_sec,
+       nan},
+      {"bandwidth_bytes_per_sec", &PolitenessOptions::bandwidth_bytes_per_sec,
+       -inf},
+  };
+  for (const Case& c : cases) {
+    PolitenessOptions options;
+    options.*c.member = c.value;
+    PolitenessSimulator sim(&web, &classifier, &strategy, options);
+    const auto r = sim.Run();
+    ASSERT_FALSE(r.ok()) << c.field << " = " << c.value;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(c.field), std::string::npos)
+        << r.status();
+  }
+  // Zero is a valid time everywhere (no interval, latency or limit), and
+  // infinite bandwidth makes transfers instant.
+  PolitenessOptions zero;
+  zero.min_access_interval_sec = 0.0;
+  zero.base_latency_sec = 0.0;
+  zero.max_sim_time_sec = 0.0;
+  zero.bandwidth_bytes_per_sec = inf;
+  EXPECT_EQ(RunPolite(g, strategy, zero).summary.sim_time_sec, 0.0);
 }
 
 TEST(PolitenessTest, ThroughputReportedConsistently) {

@@ -9,8 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/simulator.h"
+#include "store/dataset_writer.h"
+#include "store/stored_web_graph.h"
 #include "util/series.h"
-#include "webgraph/crawl_log.h"
 #include "webgraph/generator.h"
 
 namespace lswc {
@@ -96,10 +97,10 @@ TEST_F(IntegrationTest, ParseHtmlRequiresFullRender) {
 
 TEST_F(IntegrationTest, PersistedLogReplaysIdentically) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "lswc_integration.log")
+      (std::filesystem::temp_directory_path() / "lswc_integration.ds")
           .string();
-  ASSERT_TRUE(WriteCrawlLog(graph_, path).ok());
-  auto loaded = ReadCrawlLog(path);
+  ASSERT_TRUE(store::WriteDatasetFile(graph_, path).ok());
+  auto loaded = store::StoredWebGraph::ReadInRam(path);
   ASSERT_TRUE(loaded.ok());
   std::remove(path.c_str());
 
@@ -116,9 +117,9 @@ TEST_F(IntegrationTest, PersistedLogReplaysIdentically) {
 
 TEST_F(IntegrationTest, DiskLinkDbDrivesSameCrawl) {
   const std::string path =
-      (std::filesystem::temp_directory_path() / "lswc_integration.lnk")
+      (std::filesystem::temp_directory_path() / "lswc_integration_links.ds")
           .string();
-  ASSERT_TRUE(WriteLinkFile(graph_, path).ok());
+  ASSERT_TRUE(store::WriteDatasetFile(graph_, path).ok());
   auto disk = DiskLinkDb::Open(path);
   ASSERT_TRUE(disk.ok());
 

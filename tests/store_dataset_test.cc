@@ -17,6 +17,7 @@
 #include "store/mmap_link_db.h"
 #include "store/stored_web_graph.h"
 #include "store/stream_generator.h"
+#include "webgraph/content_gen.h"
 #include "webgraph/generator.h"
 #include "webgraph/link_db.h"
 
@@ -39,7 +40,8 @@ std::string ReadAll(const std::string& path) {
 }
 
 /// Every observable property of `got` equals `want` — the "a replayed
-/// dataset IS the graph" contract.
+/// dataset IS the graph" contract: counts, identity, seeds, every page
+/// field, the outlinks, and the bodies rendered from them.
 void ExpectGraphsEqual(const WebGraph& got, const WebGraph& want) {
   ASSERT_EQ(got.num_pages(), want.num_pages());
   ASSERT_EQ(got.num_hosts(), want.num_hosts());
@@ -53,12 +55,22 @@ void ExpectGraphsEqual(const WebGraph& got, const WebGraph& want) {
   for (PageId p = 0; p < got.num_pages(); ++p) {
     const PageRecord& a = got.page(p);
     const PageRecord& b = want.page(p);
-    ASSERT_EQ(a.host, b.host) << p;
+    ASSERT_EQ(a.http_status, b.http_status) << p;
     ASSERT_EQ(a.language, b.language) << p;
+    ASSERT_EQ(a.true_encoding, b.true_encoding) << p;
+    ASSERT_EQ(a.meta_charset, b.meta_charset) << p;
+    ASSERT_EQ(a.host, b.host) << p;
+    ASSERT_EQ(a.content_chars, b.content_chars) << p;
     const auto la = got.outlinks(p);
     const auto lb = want.outlinks(p);
     ASSERT_EQ(la.size(), lb.size()) << p;
     for (size_t i = 0; i < la.size(); ++i) ASSERT_EQ(la[i], lb[i]) << p;
+  }
+  // Rendering is seeded from the generator seed the file carries, so
+  // the replayed bodies are byte-identical.
+  for (PageId p = 0; p < 20 && p < got.num_pages(); ++p) {
+    EXPECT_EQ(RenderPageBody(got, p).value(), RenderPageBody(want, p).value())
+        << p;
   }
 }
 
@@ -184,7 +196,16 @@ TEST_F(StoreDatasetTest, CorruptSectionPayloadRejected) {
   std::ofstream(bad, std::ios::binary).write(blob.data(), blob.size());
   auto stored = StoredWebGraph::Open(bad);
   EXPECT_FALSE(stored.ok());
+  EXPECT_FALSE(StoredWebGraph::ReadInRam(bad).ok());
   std::remove(bad.c_str());
+}
+
+TEST_F(StoreDatasetTest, MissingFileRejected) {
+  const std::string missing = TestPath(".missing.ds");
+  EXPECT_EQ(StoredWebGraph::Open(missing).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(StoredWebGraph::ReadInRam(missing).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST_F(StoreDatasetTest, BadMagicRejected) {

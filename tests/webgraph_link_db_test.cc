@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics_registry.h"
+#include "store/dataset_writer.h"
 #include "webgraph/generator.h"
 
 namespace lswc {
@@ -25,9 +26,9 @@ class LinkDbTest : public ::testing::Test {
         (std::filesystem::temp_directory_path() /
          (std::string("lswc_links_") +
           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-          ".lnk"))
+          ".ds"))
             .string();
-    ASSERT_TRUE(WriteLinkFile(graph_, path_).ok());
+    ASSERT_TRUE(store::WriteDatasetFile(graph_, path_).ok());
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

@@ -11,112 +11,28 @@
 // sections, and `verify` additionally checksums every section.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/front_end.h"
 #include "obs/telemetry_plane.h"
 #include "store/stored_web_graph.h"
 #include "store/stream_generator.h"
-#include "util/string_util.h"
+#include "util/flags.h"
 #include "util/sysinfo.h"
-#include "webgraph/generator.h"
 
 namespace lswc {
 namespace {
 
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s generate --out=FILE [--dataset=thai|japanese]\n"
-      "          [--pages=N] [--seed=N]\n"
-      "       %s info FILE\n"
-      "       %s verify FILE\n"
-      "  generate  stream a synthetic web space to an LSWCDS1 file in\n"
-      "            bounded memory (same bytes as the in-RAM generator)\n"
-      "  info      print the dataset's meta and stats sections\n"
-      "  verify    info + verify every section checksum (one stderr\n"
-      "            progress line per verified section)\n"
-      "telemetry options (any command):\n"
-      "  --telemetry=unix:PATH|tcp:[HOST:]PORT   live status endpoint\n"
-      "  --watchdog-secs=N --watchdog-abort      stall watchdog\n"
-      "  --flight-recorder-events=N              crash-dump ring size\n"
-      "  --telemetry-dump=FILE                   dump file (default stderr)\n",
-      argv0, argv0, argv0);
-  return 2;
-}
-
-/// Consumes one telemetry-plane flag into `t`; false when `a` is not a
-/// telemetry flag (the caller then tries its own flags). Exits through
-/// Usage for a malformed value by returning false with *bad set.
-bool ParseTelemetryFlag(std::string_view a, obs::TelemetryOptions* t,
-                        bool* bad) {
-  if (StartsWith(a, "--telemetry=")) {
-    t->endpoint = std::string(a.substr(12));
-    if (t->endpoint.empty()) *bad = true;
-    return true;
-  }
-  if (StartsWith(a, "--watchdog-secs=")) {
-    const auto n = ParseUint64(a.substr(16));
-    if (!n || *n == 0) *bad = true;
-    else t->watchdog_secs = *n;
-    return true;
-  }
-  if (a == "--watchdog-abort") {
-    t->watchdog_abort = true;
-    return true;
-  }
-  if (StartsWith(a, "--flight-recorder-events=")) {
-    const auto n = ParseUint64(a.substr(25));
-    if (!n) *bad = true;
-    else t->flight_recorder_events = *n;
-    return true;
-  }
-  if (StartsWith(a, "--telemetry-dump=")) {
-    t->dump_path = std::string(a.substr(17));
-    if (t->dump_path.empty()) *bad = true;
-    return true;
-  }
-  return false;
-}
-
-int Generate(int argc, char** argv) {
-  std::string dataset = "thai";
-  uint32_t pages = 1'000'000;
-  uint64_t seed = 0;
-  std::string out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (StartsWith(a, "--dataset=")) {
-      dataset = std::string(a.substr(10));
-      if (dataset != "thai" && dataset != "japanese") return Usage(argv[0]);
-    } else if (StartsWith(a, "--pages=")) {
-      const auto n = ParseUint64(a.substr(8));
-      if (!n || *n == 0 || *n > UINT32_MAX) return Usage(argv[0]);
-      pages = static_cast<uint32_t>(*n);
-    } else if (StartsWith(a, "--seed=")) {
-      const auto n = ParseUint64(a.substr(7));
-      if (!n) return Usage(argv[0]);
-      seed = *n;
-    } else if (StartsWith(a, "--out=")) {
-      out = std::string(a.substr(6));
-    } else {
-      return Usage(argv[0]);
-    }
-  }
-  if (out.empty()) return Usage(argv[0]);
-
-  SyntheticWebOptions options = dataset == "japanese"
-                                    ? JapaneseLikeOptions(pages)
-                                    : ThaiLikeOptions(pages);
-  if (seed != 0) options.seed = seed;
+int Generate(const DatasetFlags& dataset, const std::string& out) {
+  const SyntheticWebOptions options = dataset.GeneratorOptions(dataset.preset);
   const Status status = store::GenerateWebGraphToFile(options, out);
   if (!status.ok()) {
     std::fprintf(stderr, "generate: %s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("wrote %s (%s, %u pages, seed %llu)\n", out.c_str(),
-              dataset.c_str(), pages,
+              dataset.preset.c_str(), dataset.pages,
               static_cast<unsigned long long>(options.seed));
   const uint64_t rss = util::PeakRssBytes();
   if (rss != 0) {
@@ -126,7 +42,7 @@ int Generate(int argc, char** argv) {
   return 0;
 }
 
-int Info(const char* argv0, const std::string& path, bool verify) {
+int Info(const std::string& path, bool verify) {
   store::StoredWebGraph::Options options;
   options.verify_checksums = verify;
   if (verify) {
@@ -148,7 +64,6 @@ int Info(const char* argv0, const std::string& path, bool verify) {
                  stored.status().ToString().c_str());
     return 1;
   }
-  (void)argv0;
   const store::StoredWebGraph& ds = **stored;
   const WebGraph& graph = ds.graph();
   const store::DatasetStatsRecord& stats = ds.stats();
@@ -173,28 +88,40 @@ int Info(const char* argv0, const std::string& path, bool verify) {
 }
 
 int Main(int argc, char** argv) {
-  // Telemetry flags are position-independent and stripped before the
-  // command parsers see the remaining args.
+  DatasetFlags dataset;
+  std::string out;
   obs::TelemetryOptions telemetry;
-  bool bad_flag = false;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (ParseTelemetryFlag(argv[i], &telemetry, &bad_flag)) continue;
-    rest.push_back(argv[i]);
-  }
-  if (bad_flag) return Usage(argv[0]);
-  obs::ConfigureTelemetryPlaneFromFlags(telemetry, argv[0]);
+  FlagTable table(
+      "COMMAND [options]\n"
+      "  generate --out=FILE  stream a synthetic web space to an LSWCDS1\n"
+      "                       file in bounded memory (same bytes as in RAM)\n"
+      "  info FILE            print the dataset's meta and stats sections\n"
+      "  verify FILE          info + verify every section checksum\n"
+      "generate's options, then the telemetry options of every command:");
+  AddGeneratorFlags(&table, &dataset, /*with_preset=*/true);
+  table.String("--out", "FILE", "the dataset file to write", &out);
+  // Telemetry flags may sit anywhere on the line, before or after the
+  // command's own arguments.
+  obs::AddTelemetryFlags(&table, &telemetry);
+  std::vector<std::string> positional;
+  table.ParseOrExit(argc, argv, &positional);
 
-  const int rest_argc = static_cast<int>(rest.size());
-  char** rest_argv = rest.data();
-  if (rest_argc < 2) return Usage(argv[0]);
-  const std::string_view command = rest_argv[1];
-  if (command == "generate") return Generate(rest_argc, rest_argv);
-  if ((command == "info" || command == "verify") && rest_argc == 3) {
-    return Info(rest_argv[0], rest_argv[2], command == "verify");
+  const std::string command = positional.empty() ? "" : positional[0];
+  const bool generate = command == "generate" && positional.size() == 1;
+  const bool inspect =
+      (command == "info" || command == "verify") && positional.size() == 2;
+  if (!generate && !inspect) {
+    table.Fail("expected generate, info FILE or verify FILE");
   }
-  return Usage(argv[0]);
+  if (generate && out.empty()) table.Fail("generate requires --out=FILE");
+  for (const char* flag : {"--dataset", "--pages", "--seed", "--out"}) {
+    if (inspect && table.given(flag)) {
+      table.Fail(std::string(flag) + " applies to generate only");
+    }
+  }
+  obs::ConfigureTelemetryPlaneFromFlags(telemetry, argv[0]);
+  return generate ? Generate(dataset, out)
+                  : Info(positional[1], command == "verify");
 }
 
 }  // namespace

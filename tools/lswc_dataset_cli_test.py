@@ -74,6 +74,27 @@ def main():
               run(dataset_bin, "info", ds + ".nope").returncode == 1,
               "expected exit 1")
 
+        # Telemetry flags that would crash or do nothing are refused by
+        # every command, like lswc_sim refuses them.
+        for name, flags in (
+                ("watchdog-abort alone", ["--watchdog-abort"]),
+                ("flight recorder alone", ["--flight-recorder-events=64"]),
+                ("flight recorder past the cap",
+                 [f"--telemetry-dump={tmp}/dump.txt",
+                  "--flight-recorder-events=100000000000000000"])):
+            r = run(dataset_bin, "generate", "--pages=1000",
+                    f"--out={tmp}/refused.ds", *flags)
+            check(f"generate with {name} exits 2", r.returncode == 2,
+                  f"exit {r.returncode}, stderr {r.stderr!r}")
+            check(f"generate with {name} prints usage", "usage:" in r.stderr,
+                  f"stderr {r.stderr!r}")
+            r = run(dataset_bin, *flags, "info", ds)
+            check(f"info with {name} exits 2", r.returncode == 2,
+                  f"exit {r.returncode}, stderr {r.stderr!r}")
+        check("refused generate wrote nothing",
+              not os.path.exists(os.path.join(tmp, "refused.ds")),
+              f"dir has {os.listdir(tmp)}")
+
         # --- replay identity across backends and engines --------------
         # The preset seed governs both paths; --pages on the replay side
         # is ignored in favor of the file's own size.

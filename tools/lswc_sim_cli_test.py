@@ -191,6 +191,48 @@ def main():
         check("resume from explicit file exits 0", r.returncode == 0,
               f"exit {r.returncode}, stderr {r.stderr!r}")
 
+    # --- No silent narrowing: out-of-range values are refused -----------
+    # Each would otherwise run (a small crawl), so a wrap shows as exit 0.
+    small = ["--dataset=thai", "--pages=1500", "--strategy=soft"]
+    expect_usage("shard-batch past uint32",
+                 run(binary, *small, "--shards=2",
+                     "--shard-batch=4294967296"))
+    for politeness in ("4294967297,1.0", "2147483648,1.0", "16,nan",
+                       "16,inf", "16,-1"):
+        r = run(binary, *small, f"--politeness={politeness}")
+        expect_usage(f"politeness {politeness}", r)
+        check(f"politeness {politeness} names the flag",
+              "--politeness:" in r.stderr, f"stderr: {r.stderr!r}")
+
+    # --- Telemetry flags that would crash or do nothing -------------------
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = os.path.join(tmp, "dump.txt")
+        r = run(binary, *small, f"--telemetry-dump={dump}",
+                "--flight-recorder-events=100000000000000000")
+        expect_usage("flight recorder past the cap", r)
+        expect_usage("flight recorder one past 2^20",
+                     run(binary, *small, f"--telemetry-dump={dump}",
+                         "--flight-recorder-events=1048577"))
+        r = run(binary, *small, f"--telemetry-dump={dump}",
+                "--flight-recorder-events=256")
+        check("flight recorder with a dump file exits 0", r.returncode == 0,
+              f"exit {r.returncode}, stderr {r.stderr!r}")
+    # 18446744074 s is past UINT64_MAX ns; it used to wrap to a 0.29 s
+    # deadline that fired (and aborted) on the first pause.
+    expect_usage("watchdog deadline past uint64 ns",
+                 run(binary, *small, "--watchdog-secs=18446744074",
+                     "--watchdog-abort"))
+    r = run(binary, *small, "--watchdog-abort")
+    expect_usage("watchdog-abort alone", r)
+    check("watchdog-abort alone names both flags",
+          "--watchdog-abort requires --watchdog-secs" in r.stderr,
+          f"stderr: {r.stderr!r}")
+    r = run(binary, *small, "--flight-recorder-events=64")
+    expect_usage("flight recorder alone", r)
+    check("flight recorder alone names the flag",
+          "--flight-recorder-events requires" in r.stderr,
+          f"stderr: {r.stderr!r}")
+
     print(f"{len(PASSES)} checks passed")
     if FAILURES:
         print(f"{len(FAILURES)} checks FAILED:")

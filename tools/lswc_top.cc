@@ -17,48 +17,35 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/telemetry_server.h"
-#include "util/string_util.h"
+#include "util/flags.h"
 
 namespace lswc {
 namespace {
-
-int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [options] unix:PATH|tcp:[HOST:]PORT\n"
-      "  --once             fetch and print one document, then exit\n"
-      "  --interval=SECS    refresh period (default 2.0)\n"
-      "  --path=/top|/progress|/metrics\n"
-      "                     document to fetch (default /top)\n",
-      argv0);
-  return 2;
-}
 
 int Main(int argc, char** argv) {
   bool once = false;
   double interval_sec = 2.0;
   std::string path = "/top";
-  std::string endpoint;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a == "--once") {
-      once = true;
-    } else if (StartsWith(a, "--interval=")) {
-      const auto v = ParseDouble(a.substr(11));
-      if (!v || *v <= 0.0) return Usage(argv[0]);
-      interval_sec = *v;
-    } else if (StartsWith(a, "--path=")) {
-      path = std::string(a.substr(7));
-      if (path.empty() || path[0] != '/') return Usage(argv[0]);
-    } else if (!a.empty() && a[0] != '-' && endpoint.empty()) {
-      endpoint = std::string(a);
-    } else {
-      return Usage(argv[0]);
-    }
-  }
-  if (endpoint.empty()) return Usage(argv[0]);
+  FlagTable table("[options] unix:PATH|tcp:[HOST:]PORT");
+  table.Switch("--once", "fetch and print one document, then exit", &once);
+  table.Double("--interval", "SECS", "refresh period (default 2.0)",
+               &interval_sec, 0.0, /*exclusive=*/true);
+  table.Custom("--path", "/top|/progress|/metrics",
+               "document to fetch (default /top)",
+               [&path](std::string_view value) {
+                 if (value.empty() || value[0] != '/') {
+                   return std::string("must start with '/'");
+                 }
+                 path = std::string(value);
+                 return std::string();
+               });
+  std::vector<std::string> positional;
+  table.ParseOrExit(argc, argv, &positional);
+  if (positional.size() != 1) table.Fail("expected one endpoint");
+  const std::string& endpoint = positional[0];
 
   bool attached = false;
   for (;;) {

@@ -52,6 +52,12 @@ def main():
                            capture_output=True, text=True, timeout=60)
     check("bad path exits 2", result.returncode == 2,
           f"exit {result.returncode}")
+    # A NaN refresh period is a bad value, refused before any fetch.
+    result = top_once(top, "unix:/nonexistent", "--interval=nan")
+    check("nan interval exits 2", result.returncode == 2,
+          f"exit {result.returncode}")
+    check("nan interval prints usage", "usage:" in result.stderr,
+          repr(result.stderr))
     result = top_once(top, "unix:/nonexistent/never.sock")
     check("dead endpoint fails", result.returncode != 0, "exit 0")
 
